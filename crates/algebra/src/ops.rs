@@ -7,7 +7,7 @@ use crate::matched::MatchedGraph;
 use crate::template::{instantiate, TemplateEnv};
 use gql_core::iso::graph_isomorphic;
 use gql_core::{ArgValue, ExplainNode, Graph, GraphCollection};
-use gql_match::{match_pattern, GraphIndex, GraphSnapshot, IndexOptions, MatchOptions, Planner};
+use gql_match::{match_pattern, GraphIndex, GraphSnapshot, MatchOptions, Planner};
 use gql_parser::ast::GraphTemplateAst;
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,16 +52,12 @@ pub fn build_collection_indexes(
     // Several graphs: one single-threaded build per worker; a singleton
     // collection spends the whole budget inside one parallel build.
     let inner_threads = if workers > 1 { 1 } else { opts.threads };
-    let index_opts = IndexOptions {
-        radius: 1,
-        profiles: true,
-        subgraphs: false,
-        threads: inner_threads,
-        csr: opts.csr,
-        prop_index: opts.prop_index,
-    };
     let indexes = gql_core::par_map_index(graphs.len(), workers, |i| {
-        Arc::new(GraphIndex::build_with(graphs[i], &index_opts))
+        Arc::new(GraphIndex::build_with_profiles_par(
+            graphs[i],
+            1,
+            inner_threads,
+        ))
     });
     if let Some(obs) = &opts.obs {
         obs.add("index.builds", indexes.len() as u64);

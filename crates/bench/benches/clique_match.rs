@@ -79,7 +79,14 @@ fn bench_clique_space_steps(c: &mut Criterion) {
         group.bench_function("refine", |b| {
             b.iter(|| {
                 let mut m = mates.clone();
-                gql_match::refine_search_space(&pattern, &w.graph, &mut m, pattern.node_count())
+                gql_match::refine_search_space_csr(
+                    &pattern,
+                    &w.graph,
+                    w.index.csr(),
+                    &mut m,
+                    pattern.node_count(),
+                    1,
+                )
             })
         });
     }

@@ -72,7 +72,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                 profiles: true,
                 subgraphs: false,
                 threads: 1,
-                csr: true,
                 prop_index,
             },
         )
@@ -101,26 +100,18 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
     group.bench_function("bucket_scan", |b| {
-        let o = MatchOptions {
-            prop_index: false,
-            ..opts.clone()
-        };
         b.iter(|| {
             patterns
                 .iter()
-                .map(|p| match_pattern(p, &g, &scan_index, &o).mappings.len())
+                .map(|p| match_pattern(p, &g, &scan_index, &opts).mappings.len())
                 .sum::<usize>()
         })
     });
     group.bench_function("index_probe", |b| {
-        let o = MatchOptions {
-            prop_index: true,
-            ..opts.clone()
-        };
         b.iter(|| {
             patterns
                 .iter()
-                .map(|p| match_pattern(p, &g, &probe_index, &o).mappings.len())
+                .map(|p| match_pattern(p, &g, &probe_index, &opts).mappings.len())
                 .sum::<usize>()
         })
     });

@@ -8,15 +8,10 @@
 //!
 //! `smoke` compares sequential vs `--threads N` selection (0 = one
 //! worker per core, the default) on one clique and one synthetic
-//! workload and writes machine-readable `BENCH_parallel.json`, then
-//! compares the seed `Value` kernels against the interned bitset
-//! kernels (search-space build + refinement) and writes
-//! `BENCH_refine.json`. `refine` runs only the latter comparison.
+//! workload and writes machine-readable `BENCH_parallel.json`.
 //! `profile` times the optimized pipeline with the observability sink
 //! disabled vs enabled and writes the captured per-phase report to
-//! `BENCH_profile.json`. `csr` compares the full optimized pipeline
-//! over a CSR-carrying index vs a `Vec`-adjacency one and writes
-//! `BENCH_csr.json`. `trace` times the pipeline with the trace sink
+//! `BENCH_profile.json`. `trace` times the pipeline with the trace sink
 //! absent vs attached and writes `BENCH_obs_overhead.json`. `planner`
 //! compares cold-plan vs hot-plan-cache vs adaptive planning on a
 //! repeated-query workload and writes `BENCH_planner.json`.
@@ -35,14 +30,13 @@
 //! well-formed Prometheus text exposition and exits nonzero if not.
 
 use gql_bench::experiments::{
-    bench_csr, bench_mmap, bench_parallel, bench_planner, bench_profile, bench_propindex,
-    bench_refine, bench_storage, bench_telemetry, bench_trace, csr_bench_json, fig4_20, fig4_21,
-    fig4_22, fig4_23a, fig4_23b, mmap_bench_json, mmap_child_main, parallel_bench_json,
-    planner_bench_json, print_csr_rows, print_mmap_rows, print_parallel_rows, print_planner_rows,
-    print_profile_result, print_propindex_rows, print_refine_rows, print_space_rows,
+    bench_mmap, bench_parallel, bench_planner, bench_profile, bench_propindex, bench_storage,
+    bench_telemetry, bench_trace, fig4_20, fig4_21, fig4_22, fig4_23a, fig4_23b, mmap_bench_json,
+    mmap_child_main, parallel_bench_json, planner_bench_json, print_mmap_rows, print_parallel_rows,
+    print_planner_rows, print_profile_result, print_propindex_rows, print_space_rows,
     print_step_rows, print_storage_rows, print_telemetry_rows, print_total_rows, print_trace_rows,
-    profile_bench_json, propindex_bench_json, refine_bench_json, storage_bench_json,
-    telemetry_bench_json, trace_bench_json, Scale,
+    profile_bench_json, propindex_bench_json, storage_bench_json, telemetry_bench_json,
+    trace_bench_json, Scale,
 };
 
 fn main() {
@@ -127,37 +121,11 @@ fn main() {
         );
     };
 
-    let run_refine = || {
-        let rows = bench_refine(scale, threads);
-        print_refine_rows(
-            "Interned kernels — seed vs interned search-space build + refine",
-            &rows,
-        );
-        let json = refine_bench_json(scale, threads, &rows);
-        let path = "BENCH_refine.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("# wrote {path}"),
-            Err(e) => eprintln!("# could not write {path}: {e}"),
-        }
-    };
     let run_profile = || {
         let r = bench_profile(scale, threads);
         print_profile_result("Pipeline observability — obs sink disabled vs enabled", &r);
         let json = profile_bench_json(scale, threads, &r);
         let path = "BENCH_profile.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("# wrote {path}"),
-            Err(e) => eprintln!("# could not write {path}: {e}"),
-        }
-    };
-    let run_csr = || {
-        let rows = bench_csr(scale, threads);
-        print_csr_rows(
-            "CSR kernels — Vec-adjacency vs CSR snapshot, optimized pipeline",
-            &rows,
-        );
-        let json = csr_bench_json(scale, threads, &rows);
-        let path = "BENCH_csr.json";
         match std::fs::write(path, &json) {
             Ok(()) => eprintln!("# wrote {path}"),
             Err(e) => eprintln!("# could not write {path}: {e}"),
@@ -253,7 +221,6 @@ fn main() {
             Ok(()) => eprintln!("# wrote {path}"),
             Err(e) => eprintln!("# could not write {path}: {e}"),
         }
-        run_refine();
     };
 
     match which {
@@ -261,9 +228,7 @@ fn main() {
         "fig4_21" => run_21(),
         "fig4_22" => run_22(),
         "fig4_23" => run_23(),
-        "refine" => run_refine(),
         "profile" => run_profile(),
-        "csr" => run_csr(),
         "trace" => run_trace(),
         "planner" => run_planner(),
         "propindex" => run_propindex(),
@@ -295,7 +260,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown experiment {other:?}; use fig4_20|fig4_21|fig4_22|fig4_23|refine|profile|csr|trace|planner|propindex|storage|mmap|telemetry|validate-prom|smoke|all"
+                "unknown experiment {other:?}; use fig4_20|fig4_21|fig4_22|fig4_23|profile|trace|planner|propindex|storage|mmap|telemetry|validate-prom|smoke|all"
             );
             std::process::exit(2);
         }

@@ -471,184 +471,6 @@ pub fn parallel_bench_json(scale: Scale, threads: usize, rows: &[ParallelBenchRo
     s
 }
 
-// --------------------------------------------------------- refine bench
-
-/// One seed-vs-interned kernel comparison (a `BENCH_refine.json` row):
-/// wall-clock of search-space build (retrieval + local pruning) plus
-/// refinement, before (`Value` reference kernels) and after (interned
-/// bitset kernels).
-#[derive(Debug, Clone)]
-pub struct RefineBenchRow {
-    /// Workload name.
-    pub name: String,
-    /// Queries timed.
-    pub queries: usize,
-    /// Candidate pairs removed by refinement (identical for both paths
-    /// by construction).
-    pub removed: u64,
-    /// DFS extension attempts over the refined space (identical for
-    /// both paths by construction).
-    pub steps: u64,
-    /// Batch wall-clock of reference retrieval + refinement, µs.
-    pub before_us: f64,
-    /// Batch wall-clock of interned retrieval + refinement, µs.
-    pub after_us: f64,
-    /// `before_us / after_us`.
-    pub speedup: f64,
-}
-
-fn bench_refine_one(name: &str, w: &Workload, queries: &[Graph], threads: usize) -> RefineBenchRow {
-    use gql_match::{
-        feasible_mates_par, feasible_mates_reference, refine_search_space_par,
-        refine_search_space_reference, search, LocalPruning, Pattern, SearchConfig,
-    };
-    let pruning = LocalPruning::Profiles { radius: 1 };
-    let patterns: Vec<Pattern> = queries
-        .iter()
-        .map(|q| Pattern::structural(q.clone()))
-        .collect();
-
-    let run_before = || {
-        let t = std::time::Instant::now();
-        let mut spaces = Vec::new();
-        let mut removed = 0u64;
-        for p in &patterns {
-            let mut mates = feasible_mates_reference(p, &w.graph, &w.index, pruning);
-            removed +=
-                refine_search_space_reference(p, &w.graph, &mut mates, p.node_count()).removed;
-            spaces.push(mates);
-        }
-        (t.elapsed().as_secs_f64() * 1e6, removed, spaces)
-    };
-    let run_after = || {
-        let t = std::time::Instant::now();
-        let mut spaces = Vec::new();
-        let mut removed = 0u64;
-        for p in &patterns {
-            let mut mates = feasible_mates_par(p, &w.graph, &w.index, pruning, threads);
-            removed +=
-                refine_search_space_par(p, &w.graph, &mut mates, p.node_count(), threads).removed;
-            spaces.push(mates);
-        }
-        (t.elapsed().as_secs_f64() * 1e6, removed, spaces)
-    };
-
-    // Untimed warm-up, then timed batches.
-    let _ = run_before();
-    let (before_us, removed_ref, spaces_ref) = run_before();
-    let (after_us, removed_fast, spaces_fast) = run_after();
-    assert_eq!(
-        spaces_ref, spaces_fast,
-        "interned kernels diverged from the reference on {name}"
-    );
-    assert_eq!(
-        removed_ref, removed_fast,
-        "RefineStats.removed diverged on {name}"
-    );
-
-    // The refined spaces are identical, so search effort is too; count
-    // it once per path and assert.
-    let steps: u64 = patterns
-        .iter()
-        .zip(&spaces_ref)
-        .map(|(p, mates)| {
-            let order: Vec<usize> = (0..p.node_count()).collect();
-            let cfg = SearchConfig {
-                max_matches: 1000,
-                ..SearchConfig::default()
-            };
-            search(p, &w.graph, mates, &order, &cfg).steps
-        })
-        .sum();
-    let steps_fast: u64 = patterns
-        .iter()
-        .zip(&spaces_fast)
-        .map(|(p, mates)| {
-            let order: Vec<usize> = (0..p.node_count()).collect();
-            let cfg = SearchConfig {
-                max_matches: 1000,
-                ..SearchConfig::default()
-            };
-            gql_match::search_indexed(p, &w.graph, Some(&w.index), mates, &order, &cfg).steps
-        })
-        .sum();
-    assert_eq!(steps, steps_fast, "search_steps diverged on {name}");
-
-    RefineBenchRow {
-        name: name.to_string(),
-        queries: queries.len(),
-        removed: removed_ref,
-        steps,
-        before_us,
-        after_us,
-        speedup: before_us / after_us,
-    }
-}
-
-/// Seed (`Value`) vs interned (bitset) kernels for search-space build +
-/// refinement on one PPI clique workload and one synthetic subgraph
-/// workload. Asserts the refined spaces, `removed` counters, and search
-/// steps are identical before reporting the timing delta.
-pub fn bench_refine(scale: Scale, threads: usize) -> Vec<RefineBenchRow> {
-    let threads = gql_core::resolve_threads(threads);
-    let nq = match scale {
-        Scale::Quick => 8,
-        Scale::Full => 40,
-    };
-    let mut rows = Vec::new();
-    let ppi = Workload::ppi();
-    rows.push(bench_refine_one(
-        "ppi_clique_5",
-        &ppi,
-        &ppi.cliques(5, nq, 0x4EF1),
-        threads,
-    ));
-    let syn = Workload::synthetic(10_000, 0x5eed);
-    rows.push(bench_refine_one(
-        "synthetic10k_subgraph_8",
-        &syn,
-        &syn.subgraphs(8, nq, 0x4EF2),
-        threads,
-    ));
-    rows
-}
-
-/// Renders [`bench_refine`] rows as the machine-readable
-/// `BENCH_refine.json` document.
-pub fn refine_bench_json(scale: Scale, threads: usize, rows: &[RefineBenchRow]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"machine_cores\": {cores},\n"));
-    s.push_str(&format!(
-        "  \"threads\": {},\n",
-        gql_core::resolve_threads(threads)
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if scale == Scale::Full {
-            "full"
-        } else {
-            "quick"
-        }
-    ));
-    s.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"queries\": {}, \"removed\": {}, \"steps\": {}, \"before_us\": {:.1}, \"after_us\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.name,
-            r.queries,
-            r.removed,
-            r.steps,
-            r.before_us,
-            r.after_us,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 // -------------------------------------------------------- profile bench
 
 /// Result of the observability benchmark (a `BENCH_profile.json`
@@ -762,21 +584,6 @@ pub fn print_profile_result(title: &str, r: &ProfileBenchResult) {
     println!("\n{}", r.report.render_text());
 }
 
-/// Prints a refine-bench table.
-pub fn print_refine_rows(title: &str, rows: &[RefineBenchRow]) {
-    println!("\n{title}");
-    println!(
-        "{:>26} {:>8} {:>9} {:>10} {:>14} {:>14} {:>8}",
-        "workload", "queries", "removed", "steps", "before (µs)", "after (µs)", "speedup"
-    );
-    for r in rows {
-        println!(
-            "{:>26} {:>8} {:>9} {:>10} {:>14.1} {:>14.1} {:>7.2}x",
-            r.name, r.queries, r.removed, r.steps, r.before_us, r.after_us, r.speedup
-        );
-    }
-}
-
 /// Prints a parallel-bench table.
 pub fn print_parallel_rows(title: &str, rows: &[ParallelBenchRow]) {
     println!("\n{title}");
@@ -840,223 +647,6 @@ pub fn print_total_rows(title: &str, xlabel: &str, rows: &[TotalRow]) {
 }
 
 const _: () = assert!(LOW_HITS < MAX_HITS);
-
-// ------------------------------------------------------------ CSR bench
-
-/// One CSR-vs-`Vec`-adjacency comparison (a `BENCH_csr.json` row):
-/// batch wall-clock of the full optimized pipeline over an index
-/// carrying the CSR snapshot vs one without it.
-#[derive(Debug, Clone)]
-pub struct CsrBenchRow {
-    /// Workload name.
-    pub name: String,
-    /// Queries timed.
-    pub queries: usize,
-    /// Total answers across the batch (identical for both paths by
-    /// construction).
-    pub hits: usize,
-    /// DFS extension attempts (identical for both paths by
-    /// construction).
-    pub steps: u64,
-    /// Batch wall-clock over the `Vec`-adjacency index, µs.
-    pub vec_us: f64,
-    /// Batch wall-clock over the CSR-carrying index, µs.
-    pub csr_us: f64,
-    /// `vec_us / csr_us`.
-    pub speedup: f64,
-}
-
-fn bench_csr_one(
-    name: &str,
-    graph: &Graph,
-    candidates: &[Graph],
-    take: usize,
-    threads: usize,
-) -> CsrBenchRow {
-    use gql_match::{match_pattern, GraphIndex, IndexOptions, Pattern};
-    let build = |csr| {
-        GraphIndex::build_with(
-            graph,
-            &IndexOptions {
-                radius: 1,
-                profiles: true,
-                subgraphs: false,
-                threads,
-                csr,
-                prop_index: true,
-            },
-        )
-    };
-    let index_vec = build(false);
-    let index_csr = build(true);
-
-    // The CSR snapshot targets the adjacency-bound phases (search edge
-    // probes, refinement), so time the search-heavy queries of the
-    // candidate pool — the paper's high-hits class — rather than ones
-    // whose cost is all label-bucket retrieval (identical either way).
-    let mut pool: Vec<(u64, &Graph)> = candidates
-        .iter()
-        .map(|q| {
-            let mut opts = Configs::optimized();
-            opts.max_matches = MAX_HITS + 1;
-            opts.time_limit = Some(Duration::from_secs(10));
-            let rep = match_pattern(&Pattern::structural(q.clone()), graph, &index_csr, &opts);
-            (rep.search_steps, q)
-        })
-        .collect();
-    pool.sort_by_key(|&(steps, _)| std::cmp::Reverse(steps));
-    let patterns: Vec<Pattern> = pool
-        .iter()
-        .take(take)
-        .map(|&(_, q)| Pattern::structural(q.clone()))
-        .collect();
-    let mut opts = Configs::optimized();
-    opts.threads = threads;
-    opts.max_matches = MAX_HITS + 1;
-    opts.time_limit = Some(Duration::from_secs(10));
-    // The baseline-space ratio re-runs retrieval with NodeAttributes
-    // pruning per query — pure reporting overhead, identical on both
-    // paths; skip it so the timing reflects the match pipeline itself.
-    opts.report_baseline_space = false;
-
-    // One timed sample = 3 passes over the batch (µs reported per
-    // pass): long enough that a scheduler preemption spike inflates a
-    // sample by a bounded fraction instead of dwarfing it.
-    const PASSES: u32 = 3;
-    let time = |index: &GraphIndex| {
-        let t = std::time::Instant::now();
-        let mut mappings = Vec::new();
-        let mut steps = 0u64;
-        for _ in 0..PASSES {
-            mappings.clear();
-            steps = 0;
-            for p in &patterns {
-                let rep = match_pattern(p, graph, index, &opts);
-                steps += rep.search_steps;
-                mappings.push(rep.mappings);
-            }
-        }
-        (
-            t.elapsed().as_secs_f64() * 1e6 / f64::from(PASSES),
-            steps,
-            mappings,
-        )
-    };
-
-    // Untimed warm-up, then 9 *interleaved* timed samples per path,
-    // keeping the min of each: alternating vec/csr samples the same
-    // load conditions for both, and the min is robust against
-    // scheduler noise and frequency drift on a shared container.
-    let _ = time(&index_vec);
-    let _ = time(&index_csr);
-    let (mut vec_us, steps_vec, maps_vec) = time(&index_vec);
-    let (mut csr_us, steps_csr, maps_csr) = time(&index_csr);
-    for _ in 0..8 {
-        vec_us = vec_us.min(time(&index_vec).0);
-        csr_us = csr_us.min(time(&index_csr).0);
-    }
-
-    // Untimed per-phase breakdown on request (diagnosis aid; stderr so
-    // it never lands in redirected table/JSON output).
-    if std::env::var_os("CSR_BENCH_PHASES").is_some() {
-        for index in [&index_vec, &index_csr] {
-            let mut phases = [Duration::ZERO; 4];
-            for p in &patterns {
-                let rep = match_pattern(p, graph, index, &opts);
-                phases[0] += rep.timings.retrieve;
-                phases[1] += rep.timings.refine;
-                phases[2] += rep.timings.order;
-                phases[3] += rep.timings.search;
-            }
-            eprintln!(
-                "# {name} csr={} retrieve={:.0}us refine={:.0}us order={:.0}us search={:.0}us",
-                index.csr().is_some(),
-                phases[0].as_secs_f64() * 1e6,
-                phases[1].as_secs_f64() * 1e6,
-                phases[2].as_secs_f64() * 1e6,
-                phases[3].as_secs_f64() * 1e6,
-            );
-        }
-    }
-    assert_eq!(maps_vec, maps_csr, "CSR kernels changed results on {name}");
-    assert_eq!(steps_vec, steps_csr, "search_steps diverged on {name}");
-
-    CsrBenchRow {
-        name: name.to_string(),
-        queries: patterns.len(),
-        hits: maps_vec.iter().map(Vec::len).sum(),
-        steps: steps_vec,
-        vec_us,
-        csr_us,
-        speedup: vec_us / csr_us,
-    }
-}
-
-/// CSR snapshot vs `Vec`-adjacency kernels for the full optimized
-/// pipeline on one PPI clique workload and one synthetic subgraph
-/// workload. Asserts mappings and search steps are identical before
-/// reporting the timing delta.
-pub fn bench_csr(scale: Scale, threads: usize) -> Vec<CsrBenchRow> {
-    let threads = gql_core::resolve_threads(threads);
-    let nq = match scale {
-        Scale::Quick => 8,
-        Scale::Full => 40,
-    };
-    let mut rows = Vec::new();
-    let ppi = gql_datagen::ppi_network(&gql_datagen::PpiConfig::default());
-    rows.push(bench_csr_one(
-        "ppi_clique_4",
-        &ppi,
-        &gql_datagen::clique_queries(&ppi, 4, nq * 10, 0x4EF1),
-        nq,
-        threads,
-    ));
-    let syn = gql_datagen::erdos_renyi(&gql_datagen::ErConfig::paper_default(10_000, 0x5eed));
-    rows.push(bench_csr_one(
-        "synthetic10k_subgraph_8",
-        &syn,
-        &gql_datagen::subgraph_queries(&syn, 8, nq * 10, 0x4EF2),
-        nq,
-        threads,
-    ));
-    rows
-}
-
-/// Renders [`bench_csr`] rows as the machine-readable `BENCH_csr.json`
-/// document.
-pub fn csr_bench_json(scale: Scale, threads: usize, rows: &[CsrBenchRow]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"machine_cores\": {cores},\n"));
-    s.push_str(&format!(
-        "  \"threads\": {},\n",
-        gql_core::resolve_threads(threads)
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if scale == Scale::Full {
-            "full"
-        } else {
-            "quick"
-        }
-    ));
-    s.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"queries\": {}, \"hits\": {}, \"steps\": {}, \"vec_us\": {:.1}, \"csr_us\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.name,
-            r.queries,
-            r.hits,
-            r.steps,
-            r.vec_us,
-            r.csr_us,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
 
 // -------------------------------------------------------- trace bench
 
@@ -1247,21 +837,6 @@ pub fn print_trace_rows(title: &str, rows: &[TraceBenchRow]) {
     }
 }
 
-/// Prints a CSR-bench table.
-pub fn print_csr_rows(title: &str, rows: &[CsrBenchRow]) {
-    println!("\n{title}");
-    println!(
-        "{:>26} {:>8} {:>6} {:>10} {:>14} {:>14} {:>8}",
-        "workload", "queries", "hits", "steps", "vec (µs)", "csr (µs)", "speedup"
-    );
-    for r in rows {
-        println!(
-            "{:>26} {:>8} {:>6} {:>10} {:>14.1} {:>14.1} {:>7.2}x",
-            r.name, r.queries, r.hits, r.steps, r.vec_us, r.csr_us, r.speedup
-        );
-    }
-}
-
 // ------------------------------------------------------ planner bench
 
 /// One plan-cache comparison (a `BENCH_planner.json` row): batch
@@ -1284,7 +859,7 @@ pub struct PlannerBenchRow {
     pub cold_us: f64,
     /// Batch wall-clock over a pre-warmed shared plan cache, µs.
     pub hot_us: f64,
-    /// Batch wall-clock over a pre-warmed cache with `adaptive` on and
+    /// Batch wall-clock over a pre-warmed cache with
     /// `RefineLevel::Auto` consulting recorded feedback, µs.
     pub adaptive_us: f64,
     /// `cold_us / hot_us` — what the cache saves on repeated queries.
@@ -1344,7 +919,6 @@ fn bench_planner_one(
     let auto_planner = Arc::new(Planner::new());
     let auto_opts = MatchOptions {
         planner: Some(Arc::clone(&auto_planner)),
-        adaptive: true,
         refine: RefineLevel::Auto,
         ..base.clone()
     };
@@ -1559,7 +1133,7 @@ pub fn print_planner_rows(title: &str, rows: &[PlannerBenchRow]) {
 
 /// One property-index comparison (a `BENCH_propindex.json` row): batch
 /// wall-clock of the optimized pipeline over a predicate workload with
-/// retrieval (a) scanning label buckets (`--no-prop-index`) and
+/// retrieval (a) scanning label buckets (`IndexOptions::prop_index: false`) and
 /// (b) probing the sorted secondary property index, plus the
 /// access-path decision EXPLAIN reports for the predicate node.
 #[derive(Debug, Clone)]
@@ -1622,7 +1196,6 @@ fn bench_propindex_one(
                 profiles: true,
                 subgraphs: false,
                 threads,
-                csr: true,
                 prop_index,
             },
         )
@@ -1638,13 +1211,13 @@ fn bench_propindex_one(
     base.report_baseline_space = false;
 
     const PASSES: u32 = 3;
-    let time = |index: &GraphIndex, opts: &MatchOptions| {
+    let time = |index: &GraphIndex| {
         let t = std::time::Instant::now();
         let mut mappings = Vec::new();
         for _ in 0..PASSES {
             mappings.clear();
             for p in patterns {
-                mappings.push(match_pattern(p, graph, index, opts).mappings);
+                mappings.push(match_pattern(p, graph, index, &base).mappings);
             }
         }
         (
@@ -1652,25 +1225,16 @@ fn bench_propindex_one(
             mappings,
         )
     };
-    let probe_opts = MatchOptions {
-        prop_index: true,
-        ..base.clone()
-    };
-    let scan_opts = MatchOptions {
-        prop_index: false,
-        ..base.clone()
-    };
-
     // Untimed warm-up, then interleaved min-of-9 per path: alternating
     // samples see the same load conditions and the min is robust
     // against scheduler noise on a shared container.
-    let _ = time(&scan_index, &scan_opts);
-    let _ = time(&probe_index, &probe_opts);
-    let (mut scan_us, maps_scan) = time(&scan_index, &scan_opts);
-    let (mut probe_us, maps_probe) = time(&probe_index, &probe_opts);
+    let _ = time(&scan_index);
+    let _ = time(&probe_index);
+    let (mut scan_us, maps_scan) = time(&scan_index);
+    let (mut probe_us, maps_probe) = time(&probe_index);
     for _ in 0..8 {
-        scan_us = scan_us.min(time(&scan_index, &scan_opts).0);
-        probe_us = probe_us.min(time(&probe_index, &probe_opts).0);
+        scan_us = scan_us.min(time(&scan_index).0);
+        probe_us = probe_us.min(time(&probe_index).0);
     }
     assert_eq!(
         maps_probe, maps_scan,
@@ -1682,7 +1246,7 @@ fn bench_propindex_one(
     // motif, by construction of the workloads).
     let explain_opts = MatchOptions {
         explain: true,
-        ..probe_opts.clone()
+        ..base.clone()
     };
     let tree = match_pattern(&patterns[0], graph, &probe_index, &explain_opts)
         .explain
@@ -2092,7 +1656,7 @@ pub fn print_storage_rows(title: &str, rows: &[StorageBenchRow]) {
 /// One zero-copy-adoption comparison (a `BENCH_mmap.json` row):
 /// time-to-first-answer and peak resident set of a cold open of the
 /// 12k-node checkpoint, mapped (`mmap` adoption, pages fault in on
-/// demand) vs owned (`--no-mmap`: segment read into memory, index
+/// demand) vs owned (`OpenOptions::mmap: false`: segment read into memory, index
 /// arrays copied out). Every pass runs in its own child process —
 /// `VmHWM` is process-monotonic, so peaks measured in-process would
 /// contaminate each other — and every pass's result digest is asserted

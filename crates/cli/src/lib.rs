@@ -14,7 +14,7 @@
 use gql_algebra::compile_pattern_text;
 use gql_core::GraphCollection;
 use gql_engine::{collection_from_text, Database};
-use gql_match::{match_pattern, GraphIndex, IndexOptions, MatchOptions};
+use gql_match::{match_pattern, GraphIndex, MatchOptions};
 use gql_relational::{graph_to_database, pattern_to_sql, ExecLimits};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -74,7 +74,9 @@ pub enum ProfileFormat {
 pub enum Command {
     /// `gql run <program> [--data NAME=PATH]... [--threads N]
     /// [--profile[=json]] [--explain[=json]] [--trace FILE]
-    /// [--slow-ms N] [--metrics FILE] [--metrics-addr ADDR] [--no-csr]`
+    /// [--slow-ms N] [--metrics FILE] [--metrics-addr ADDR]
+    /// [--metrics-linger-ms N] [--data-dir DIR] [--checkpoint]
+    /// [--verify-checkpoint]`
     Run {
         /// Program file path.
         program: String,
@@ -103,36 +105,19 @@ pub enum Command {
         /// external scraper can read the final state. Requires
         /// `--metrics-addr`.
         metrics_linger_ms: Option<u64>,
-        /// Attach the CSR adjacency snapshot to built indexes
-        /// (`--no-csr` turns it off; results are identical).
-        csr: bool,
-        /// Build sorted secondary property indexes so attribute
-        /// predicates retrieve by index probe (`--no-prop-index` turns
-        /// it off; results are identical).
-        prop_index: bool,
-        /// Cache compiled query plans per collection (`--no-plan-cache`
-        /// turns it off; results are identical).
-        plan_cache: bool,
-        /// Adaptive re-planning of diverged cached plans
-        /// (`--adaptive off` turns it off; results are identical).
-        adaptive: bool,
         /// Persistent data directory: open with WAL replay + checkpoint
         /// segments, and log every mutation the program makes.
         data_dir: Option<String>,
         /// Write a checkpoint (and truncate the WAL) after the program
         /// completes. Requires `--data-dir`.
         checkpoint: bool,
-        /// Memory-map the checkpoint segment at open so index slabs
-        /// adopt the mapped pages zero-copy (`--no-mmap` reads it into
-        /// owned memory instead; results are identical).
-        mmap: bool,
         /// Verify every section checksum of the checkpoint eagerly at
         /// open (`--verify-checkpoint`; default is lazy per-section
         /// verification on the mapped path).
         verify: bool,
     },
     /// `gql match --graph PATH --pattern PATH [--baseline] [--first]
-    /// [--threads N] [--no-csr] [--no-plan-cache] [--adaptive on|off]`
+    /// [--threads N]`
     Match {
         /// Data graph file.
         graph: String,
@@ -145,19 +130,6 @@ pub enum Command {
         /// Worker threads for index build and search (0 = available
         /// cores).
         threads: usize,
-        /// Attach the CSR adjacency snapshot to the index (`--no-csr`
-        /// turns it off; results are identical).
-        csr: bool,
-        /// Build sorted secondary property indexes so attribute
-        /// predicates retrieve by index probe (`--no-prop-index` turns
-        /// it off; results are identical).
-        prop_index: bool,
-        /// Attach a planner (plan cache + feedback) to the run
-        /// (`--no-plan-cache` turns it off; results are identical).
-        plan_cache: bool,
-        /// Adaptive re-planning of diverged cached plans
-        /// (`--adaptive off` turns it off; results are identical).
-        adaptive: bool,
     },
     /// `gql sql --graph PATH --pattern PATH`
     Sql {
@@ -177,11 +149,9 @@ gql — Graphs-at-a-time query language (He & Singh, SIGMOD 2008)
 USAGE:
     gql run <program.gql> [--data NAME=PATH]... [--threads N] [--profile[=json]]
             [--explain[=json]] [--trace FILE] [--slow-ms N] [--metrics FILE]
-            [--metrics-addr ADDR] [--metrics-linger-ms N] [--no-csr]
-            [--no-prop-index] [--no-plan-cache] [--adaptive on|off]
-            [--data-dir DIR] [--checkpoint] [--no-mmap] [--verify-checkpoint]
+            [--metrics-addr ADDR] [--metrics-linger-ms N]
+            [--data-dir DIR] [--checkpoint] [--verify-checkpoint]
     gql match --graph <data.gql> --pattern <pattern.gql> [--baseline] [--first] [--threads N]
-            [--no-csr] [--no-prop-index] [--no-plan-cache] [--adaptive on|off]
     gql sql   --graph <data.gql> --pattern <pattern.gql>
     gql help
 
@@ -228,28 +198,6 @@ Serving telemetry never changes query results.
 alive N milliseconds after the program completes so a scraper can
 collect the final state.
 
-`--no-csr` skips the CSR adjacency snapshot when building graph indexes,
-dropping search/refinement/profile construction back to the plain
-adjacency-list kernels. Results are identical; the flag exists to
-compare performance and as an escape hatch.
-
-`--no-prop-index` skips the sorted secondary property indexes, so
-equality and range predicates on node attributes are evaluated by
-scanning the label bucket instead of probing the index. Results are
-identical; the flag exists to compare performance and as an escape
-hatch.
-
-`--no-plan-cache` disables the per-collection query planner: compiled
-plans (search order, per-edge checks, refinement decision) are not
-cached across statements and no execution feedback is recorded. Cached
-plans are validated against observed candidate sizes before reuse, so
-results are identical either way.
-
-`--adaptive on|off` (default on) controls whether a cached plan whose
-candidate-size expectations diverged beyond the tolerance is re-planned
-from the observed sizes. A diverged run always recomputes its own order
-from actuals; the knob only decides whether the cache entry adapts.
-
 `--data-dir DIR` opens DIR as a persistent database: checkpoint
 segments are loaded (indexes and planner feedback restored without a
 rebuild), the write-ahead log is replayed on top (a torn tail is
@@ -263,30 +211,14 @@ the manifest is atomically switched, the WAL is truncated, and older
 segments are removed. The next `--data-dir` open is then a segment
 read, not a replay or rebuild.
 
-`--no-mmap` (requires --data-dir) reads the checkpoint segment into
-owned memory instead of memory-mapping it. The default mapped open
-adopts the segment's index arrays zero-copy — pages fault in from the
-page cache on demand, so time-to-first-answer and resident memory track
-the working set instead of the checkpoint size. Results are identical
-either way; the flag exists to compare performance and as an escape
-hatch.
-
 `--verify-checkpoint` (requires --data-dir) checksums the entire
-checkpoint eagerly at open. The default mapped open verifies the header
+checkpoint eagerly at open. The default open memory-maps the segment
+(index arrays are adopted zero-copy and fault in on demand), verifies the header
 and section directory eagerly but defers per-section payload checksums
 until a section is actually decoded (index sections are validated
 structurally on adoption instead) — corruption is still always a loud
 error, just possibly reported at first use rather than at open.
 ";
-
-fn parse_adaptive(it: &mut std::slice::Iter<'_, String>) -> Result<bool> {
-    match it.next().map(String::as_str) {
-        Some("on") => Ok(true),
-        Some("off") => Ok(false),
-        Some(v) => Err(CliError::usage(format!("bad --adaptive value {v:?}"))),
-        None => Err(CliError::usage("--adaptive needs on|off")),
-    }
-}
 
 fn parse_threads(it: &mut std::slice::Iter<'_, String>) -> Result<usize> {
     let v = it
@@ -312,27 +244,12 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             let mut metrics = None;
             let mut metrics_addr = None;
             let mut metrics_linger_ms = None;
-            let mut csr = true;
-            let mut prop_index = true;
-            let mut plan_cache = true;
-            let mut adaptive = true;
             let mut data_dir = None;
             let mut checkpoint = false;
-            let mut mmap = true;
             let mut verify = false;
             while let Some(a) = it.next() {
-                if a == "--no-mmap" {
-                    mmap = false;
-                } else if a == "--verify-checkpoint" {
+                if a == "--verify-checkpoint" {
                     verify = true;
-                } else if a == "--no-csr" {
-                    csr = false;
-                } else if a == "--no-prop-index" {
-                    prop_index = false;
-                } else if a == "--no-plan-cache" {
-                    plan_cache = false;
-                } else if a == "--adaptive" {
-                    adaptive = parse_adaptive(&mut it)?;
                 } else if a == "--profile" || a == "--profile=text" {
                     profile = Some(ProfileFormat::Text);
                 } else if a == "--profile=json" {
@@ -392,7 +309,7 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     data.push((name.to_string(), path.to_string()));
                 } else if a == "--threads" {
                     threads = parse_threads(&mut it)?;
-                } else if program.is_none() {
+                } else if program.is_none() && !a.starts_with("--") {
                     program = Some(a.clone());
                 } else {
                     return Err(CliError::usage(format!("unexpected argument {a:?}")));
@@ -401,10 +318,8 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             if checkpoint && data_dir.is_none() {
                 return Err(CliError::usage("--checkpoint requires --data-dir"));
             }
-            if (!mmap || verify) && data_dir.is_none() {
-                return Err(CliError::usage(
-                    "--no-mmap/--verify-checkpoint require --data-dir",
-                ));
+            if verify && data_dir.is_none() {
+                return Err(CliError::usage("--verify-checkpoint requires --data-dir"));
             }
             if metrics_linger_ms.is_some() && metrics_addr.is_none() {
                 return Err(CliError::usage(
@@ -422,13 +337,8 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 metrics,
                 metrics_addr,
                 metrics_linger_ms,
-                csr,
-                prop_index,
-                plan_cache,
-                adaptive,
                 data_dir,
                 checkpoint,
-                mmap,
                 verify,
             })
         }
@@ -438,10 +348,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             let mut baseline = false;
             let mut first = false;
             let mut threads = 1;
-            let mut csr = true;
-            let mut prop_index = true;
-            let mut plan_cache = true;
-            let mut adaptive = true;
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--graph" => graph = it.next().cloned(),
@@ -449,10 +355,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     "--baseline" => baseline = true,
                     "--first" => first = true,
                     "--threads" => threads = parse_threads(&mut it)?,
-                    "--no-csr" => csr = false,
-                    "--no-prop-index" => prop_index = false,
-                    "--no-plan-cache" => plan_cache = false,
-                    "--adaptive" => adaptive = parse_adaptive(&mut it)?,
                     other => return Err(CliError::usage(format!("unexpected argument {other:?}"))),
                 }
             }
@@ -465,10 +367,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     baseline,
                     first,
                     threads,
-                    csr,
-                    prop_index,
-                    plan_cache,
-                    adaptive,
                 })
             } else {
                 Ok(Command::Sql { graph, pattern })
@@ -502,18 +400,16 @@ pub fn execute(cmd: Command) -> Result<Output> {
             metrics,
             metrics_addr,
             metrics_linger_ms,
-            csr,
-            prop_index,
-            plan_cache,
-            adaptive,
             data_dir,
             checkpoint,
-            mmap,
             verify,
         } => {
             let base = match &data_dir {
                 Some(dir) => {
-                    let open_opts = gql_engine::OpenOptions { mmap, verify };
+                    let open_opts = gql_engine::OpenOptions {
+                        verify,
+                        ..Default::default()
+                    };
                     let db = Database::open_with(Path::new(dir), open_opts)
                         .map_err(|e| CliError::run(format!("cannot open {dir:?}: {e}")))?;
                     let _ = writeln!(
@@ -527,12 +423,7 @@ pub fn execute(cmd: Command) -> Result<Output> {
                 }
                 None => Database::new(),
             };
-            let mut db = base
-                .with_threads(threads)
-                .with_csr(csr)
-                .with_prop_index(prop_index)
-                .with_plan_cache(plan_cache)
-                .with_adaptive(adaptive);
+            let mut db = base.with_threads(threads);
             if let Some(addr) = &metrics_addr {
                 let bound = db
                     .serve_metrics(addr.as_str())
@@ -665,25 +556,11 @@ pub fn execute(cmd: Command) -> Result<Output> {
             baseline,
             first,
             threads,
-            csr,
-            prop_index,
-            plan_cache,
-            adaptive,
         } => {
             let g = load_graph(&graph)?;
             let p = compile_pattern_text(&read(&pattern)?)
                 .map_err(|e| CliError::run(format!("{pattern}: {e}")))?;
-            let index = GraphIndex::build_with(
-                &g,
-                &IndexOptions {
-                    radius: 1,
-                    profiles: true,
-                    subgraphs: false,
-                    threads,
-                    csr,
-                    prop_index,
-                },
-            );
+            let index = GraphIndex::build_with_profiles_par(&g, 1, threads);
             let mut opts = if baseline {
                 MatchOptions::baseline()
             } else {
@@ -691,12 +568,7 @@ pub fn execute(cmd: Command) -> Result<Output> {
             };
             opts.exhaustive = !first;
             opts.threads = threads;
-            opts.csr = csr;
-            opts.prop_index = prop_index;
-            opts.adaptive = adaptive;
-            if plan_cache {
-                opts.planner = Some(std::sync::Arc::new(gql_match::Planner::new()));
-            }
+            opts.planner = Some(std::sync::Arc::new(gql_match::Planner::new()));
             let rep = match_pattern(&p.pattern, &g, &index, &opts);
             let _ = writeln!(out.stdout, "matches: {}", rep.mappings.len());
             let fmt_space = |ln: f64| {
@@ -771,20 +643,11 @@ mod tests {
                 metrics: None,
                 metrics_addr: None,
                 metrics_linger_ms: None,
-                csr: true,
-                prop_index: true,
-                plan_cache: true,
-                adaptive: true,
                 data_dir: None,
                 checkpoint: false,
-                mmap: true,
                 verify: false,
             }
         );
-        assert!(matches!(
-            parse_args(&args(&["run", "p.gql", "--no-csr"])).unwrap(),
-            Command::Run { csr: false, .. }
-        ));
         assert!(matches!(
             parse_args(&args(&["run", "p.gql", "--data-dir", "/tmp/db", "--checkpoint"])).unwrap(),
             Command::Run {
@@ -804,113 +667,15 @@ mod tests {
                 "p.gql",
                 "--data-dir",
                 "/tmp/db",
-                "--no-mmap"
-            ]))
-            .unwrap(),
-            Command::Run {
-                mmap: false,
-                verify: false,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse_args(&args(&[
-                "run",
-                "p.gql",
-                "--data-dir",
-                "/tmp/db",
                 "--verify-checkpoint"
             ]))
             .unwrap(),
-            Command::Run {
-                mmap: true,
-                verify: true,
-                ..
-            }
+            Command::Run { verify: true, .. }
         ));
-        assert!(
-            parse_args(&args(&["run", "p.gql", "--no-mmap"])).is_err(),
-            "--no-mmap without --data-dir must be rejected"
-        );
         assert!(
             parse_args(&args(&["run", "p.gql", "--verify-checkpoint"])).is_err(),
             "--verify-checkpoint without --data-dir must be rejected"
         );
-        assert!(matches!(
-            parse_args(&args(&["run", "p.gql", "--no-prop-index"])).unwrap(),
-            Command::Run {
-                prop_index: false,
-                csr: true,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse_args(&args(&[
-                "match",
-                "--graph",
-                "g",
-                "--pattern",
-                "p",
-                "--no-prop-index"
-            ]))
-            .unwrap(),
-            Command::Match {
-                prop_index: false,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse_args(&args(&["run", "p.gql", "--no-plan-cache"])).unwrap(),
-            Command::Run {
-                plan_cache: false,
-                adaptive: true,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse_args(&args(&["run", "p.gql", "--adaptive", "off"])).unwrap(),
-            Command::Run {
-                plan_cache: true,
-                adaptive: false,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse_args(&args(&["run", "p.gql", "--adaptive", "on"])).unwrap(),
-            Command::Run { adaptive: true, .. }
-        ));
-        assert!(parse_args(&args(&["run", "p.gql", "--adaptive"])).is_err());
-        assert!(parse_args(&args(&["run", "p.gql", "--adaptive", "maybe"])).is_err());
-        assert!(matches!(
-            parse_args(&args(&[
-                "match",
-                "--graph",
-                "g",
-                "--pattern",
-                "p",
-                "--no-plan-cache",
-                "--adaptive",
-                "off"
-            ]))
-            .unwrap(),
-            Command::Match {
-                plan_cache: false,
-                adaptive: false,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse_args(&args(&[
-                "match",
-                "--graph",
-                "g",
-                "--pattern",
-                "p",
-                "--no-csr"
-            ]))
-            .unwrap(),
-            Command::Match { csr: false, .. }
-        ));
         assert!(matches!(
             parse_args(&args(&["run", "p.gql", "--profile"])).unwrap(),
             Command::Run {
@@ -1008,7 +773,6 @@ mod tests {
                 first: true,
                 baseline: false,
                 threads: 1,
-                csr: true,
                 ..
             }
         ));
@@ -1038,6 +802,36 @@ mod tests {
         assert!(parse_args(&args(&["run", "a", "--threads"])).is_err());
     }
 
+    /// The retired implementation toggles are usage errors in every
+    /// position — never silently accepted, never taken for the program
+    /// path — and the help text no longer lists them.
+    #[test]
+    fn retired_flags_are_usage_errors() {
+        let retired: [&[&str]; 5] = [
+            &["--no-csr"],
+            &["--no-prop-index"],
+            &["--no-plan-cache"],
+            &["--no-mmap"],
+            &["--adaptive", "off"],
+        ];
+        for flag in retired {
+            let with = |pre: &[&str], post: &[&str]| {
+                let argv: Vec<&str> = pre.iter().chain(flag).chain(post).copied().collect();
+                parse_args(&args(&argv))
+            };
+            for parsed in [
+                with(&["run", "p.gql", "--data-dir", "/tmp/db"], &[]),
+                with(&["run"], &["p.gql"]),
+                with(&["run"], &[]),
+                with(&["match", "--graph", "g", "--pattern", "p"], &[]),
+            ] {
+                let err = parsed.expect_err(flag[0]);
+                assert_eq!(err.code, 2, "{}: {}", flag[0], err.message);
+            }
+            assert!(!USAGE.contains(flag[0]), "{} still in --help", flag[0]);
+        }
+    }
+
     #[test]
     fn end_to_end_match_via_tempfiles() {
         let dir = std::env::temp_dir().join(format!("gqlcli-{}", std::process::id()));
@@ -1057,38 +851,17 @@ mod tests {
             r#"graph P { node x <label="A">; node y <label="B">; edge e (x, y); }"#,
         )
         .unwrap();
-        let run_match = |csr, prop_index| {
-            execute(Command::Match {
-                graph: gpath.to_string_lossy().into_owned(),
-                pattern: ppath.to_string_lossy().into_owned(),
-                baseline: false,
-                first: false,
-                threads: 2,
-                csr,
-                prop_index,
-                plan_cache: true,
-                adaptive: true,
-            })
-            .unwrap()
-        };
-        // The `time:` line is wall-clock and varies run to run; drop it
-        // before comparing configurations.
-        let strip_time = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("time:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let out = run_match(true, true).stdout;
+        let out = execute(Command::Match {
+            graph: gpath.to_string_lossy().into_owned(),
+            pattern: ppath.to_string_lossy().into_owned(),
+            baseline: false,
+            first: false,
+            threads: 2,
+        })
+        .unwrap()
+        .stdout;
         assert!(out.contains("matches: 1"), "{out}");
         assert!(out.contains("a1"), "{out}");
-        // --no-csr must produce the same match output.
-        let no_csr = run_match(false, true).stdout;
-        assert!(no_csr.contains("matches: 1"), "{no_csr}");
-        assert_eq!(strip_time(&no_csr), strip_time(&out));
-        // --no-prop-index likewise.
-        let no_prop = run_match(true, false).stdout;
-        assert_eq!(strip_time(&no_prop), strip_time(&out));
 
         let sql_out = execute(Command::Sql {
             graph: gpath.to_string_lossy().into_owned(),
@@ -1133,13 +906,8 @@ mod tests {
                 metrics: None,
                 metrics_addr: None,
                 metrics_linger_ms: None,
-                csr: true,
-                prop_index: true,
-                plan_cache: true,
-                adaptive: true,
                 data_dir: None,
                 checkpoint: false,
-                mmap: true,
                 verify: false,
             })
             .unwrap()
@@ -1198,13 +966,8 @@ mod tests {
                 metrics: instrumented.then(|| metrics_path.to_string_lossy().into_owned()),
                 metrics_addr: instrumented.then(|| "127.0.0.1:0".to_string()),
                 metrics_linger_ms: None,
-                csr: true,
-                prop_index: true,
-                plan_cache: true,
-                adaptive: true,
                 data_dir: None,
                 checkpoint: false,
-                mmap: true,
                 verify: false,
             })
             .unwrap()
@@ -1266,13 +1029,8 @@ mod tests {
             metrics: None,
             metrics_addr: None,
             metrics_linger_ms: None,
-            csr: true,
-            prop_index: true,
-            plan_cache: true,
-            adaptive: true,
             data_dir: None,
             checkpoint: false,
-            mmap: true,
             verify: false,
         })
         .unwrap_err();
@@ -1292,13 +1050,8 @@ mod tests {
             metrics: None,
             metrics_addr: None,
             metrics_linger_ms: None,
-            csr: true,
-            prop_index: true,
-            plan_cache: true,
-            adaptive: true,
             data_dir: None,
             checkpoint: false,
-            mmap: true,
             verify: false,
         }
     }
@@ -1426,10 +1179,6 @@ mod tests {
                 baseline: false,
                 first: false,
                 threads: 1,
-                csr: true,
-                prop_index: true,
-                plan_cache: true,
-                adaptive: true,
             },
             Command::Sql {
                 graph: good_graph.clone(),
@@ -1441,10 +1190,6 @@ mod tests {
                 baseline: false,
                 first: false,
                 threads: 1,
-                csr: true,
-                prop_index: true,
-                plan_cache: true,
-                adaptive: true,
             },
         ] {
             let err = execute(cmd).unwrap_err();

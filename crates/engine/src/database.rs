@@ -47,6 +47,16 @@ pub struct SlowQuery {
     pub explain: ExplainNode,
 }
 
+/// The index configuration this engine builds (and therefore
+/// checkpoints) under — a checkpoint's record must match it at reopen
+/// for the checkpointed derived sections to be adopted.
+const STORED_OPTIONS: StoredOptions = StoredOptions {
+    csr: true,
+    prop_index: true,
+    profiles: true,
+    radius: 1,
+};
+
 /// Checkpointed index sections decoded at open (zero-copy views into
 /// the mapped segment) but not yet validated or published: adoption
 /// runs on the collection's *first read*, so a cold open stays
@@ -82,9 +92,6 @@ pub struct Database {
     /// plan compiled against one generation can never be replayed
     /// against another.
     next_generation: u64,
-    /// Whether `for` clauses attach a planner at all (`--no-plan-cache`
-    /// turns this off; results are identical either way).
-    plan_cache_enabled: bool,
     /// Matching options used by `for` clauses (the `exhaustive` keyword
     /// still overrides the `exhaustive` field per query). The engine
     /// default skips the §5 baseline-space recomputation — it never
@@ -138,7 +145,6 @@ impl Database {
             snapshots: FxHashMap::default(),
             adoptable: FxHashMap::default(),
             next_generation: 0,
-            plan_cache_enabled: true,
             options: MatchOptions {
                 report_baseline_space: false,
                 ..MatchOptions::default()
@@ -170,8 +176,9 @@ impl Database {
     /// [`Database::open`] with explicit storage options: `opts.mmap`
     /// controls whether the checkpoint segment is memory-mapped (the
     /// default; index slabs then adopt the mapped pages zero-copy and
-    /// fault in on demand) or read into owned memory (`--no-mmap`), and
-    /// `opts.verify` forces an eager whole-file checksum pass
+    /// fault in on demand) or read into owned memory (the reference the
+    /// mmap equivalence suite compares against), and `opts.verify`
+    /// forces an eager whole-file checksum pass
     /// (`--verify-checkpoint`) instead of the default lazy per-section
     /// policy.
     pub fn open_with(dir: &Path, opts: OpenOptions) -> Result<Database> {
@@ -183,7 +190,7 @@ impl Database {
         let (store, restored) =
             Store::open_observed(dir, opts, Some(Arc::clone(db.metrics.obs())))?;
         db.mapped = restored.mapped;
-        let adopt = restored.options.as_ref() == Some(&db.stored_options());
+        let adopt = restored.options.as_ref() == Some(&STORED_OPTIONS);
         for rc in restored.collections {
             let mut coll = GraphCollection::named(&rc.name);
             for g in rc.graphs {
@@ -227,18 +234,6 @@ impl Database {
         self.store.as_ref().map(|s| s.dir())
     }
 
-    /// The index configuration this engine builds (and therefore
-    /// checkpoints) under — must match at reopen for checkpointed
-    /// derived sections to be adopted.
-    fn stored_options(&self) -> StoredOptions {
-        StoredOptions {
-            csr: self.options.csr,
-            prop_index: self.options.prop_index,
-            profiles: true,
-            radius: 1,
-        }
-    }
-
     /// Appends one mutation record to the WAL (no-op without a store).
     /// Failures are deferred to [`Database::checkpoint`]/[`Database::close`].
     fn log_wal(&mut self, rec: WalRecord) {
@@ -271,7 +266,7 @@ impl Database {
             ));
         }
         let mut snap = Snapshot {
-            options: Some(self.stored_options()),
+            options: Some(STORED_OPTIONS),
             ..Snapshot::default()
         };
         let mut names: Vec<String> = self.collections.keys().cloned().collect();
@@ -344,34 +339,6 @@ impl Database {
         self
     }
 
-    /// Enables or disables the CSR adjacency snapshot on the indexes
-    /// this database builds (the CLI's `--no-csr` escape hatch; on by
-    /// default). Query results are identical either way — only the
-    /// kernels' memory layout changes. Changing the flag drops cached
-    /// (or checkpoint-adopted) indexes so everything in use matches it.
-    pub fn with_csr(mut self, csr: bool) -> Self {
-        if self.options.csr != csr {
-            self.drop_snapshots();
-        }
-        self.options.csr = csr;
-        self
-    }
-
-    /// Enables or disables the sorted secondary property indexes on the
-    /// indexes this database builds (the CLI's `--no-prop-index` escape
-    /// hatch; on by default). With them off, attribute predicates are
-    /// evaluated by scanning label buckets instead of index probes —
-    /// query results are identical either way. Changing the flag drops
-    /// cached (or checkpoint-adopted) indexes so everything in use
-    /// matches it.
-    pub fn with_prop_index(mut self, prop_index: bool) -> Self {
-        if self.options.prop_index != prop_index {
-            self.drop_snapshots();
-        }
-        self.options.prop_index = prop_index;
-        self
-    }
-
     /// Retires one collection's snapshot on mutation: removes the map
     /// entry (holders of the `Arc` keep their consistent view) and
     /// invalidates its planner so plans compiled against the retired
@@ -383,41 +350,6 @@ impl Database {
                 pl.invalidate();
             }
         }
-    }
-
-    /// Drops every cached snapshot (invalidating each one's planner so
-    /// no in-flight `Arc` can serve a stale plan). The next query per
-    /// collection builds a fresh generation under the current options.
-    fn drop_snapshots(&mut self) {
-        self.adoptable.clear();
-        for (_, s) in self.snapshots.drain() {
-            if let Some(pl) = s.planner() {
-                pl.invalidate();
-            }
-        }
-    }
-
-    /// Enables or disables the per-collection plan cache (the CLI's
-    /// `--no-plan-cache` escape hatch; on by default). With the cache
-    /// off, every `for` clause re-plans from scratch; cached plans are
-    /// validated against observed candidate sizes before reuse, so
-    /// query results are identical either way.
-    pub fn with_plan_cache(mut self, enabled: bool) -> Self {
-        self.plan_cache_enabled = enabled;
-        if !enabled {
-            self.drop_snapshots();
-        }
-        self
-    }
-
-    /// Enables or disables adaptive re-planning (the CLI's
-    /// `--adaptive off` escape hatch; on by default). With adaptivity
-    /// off, a cached plan whose candidate-size expectations diverged is
-    /// kept rather than replaced — the diverged run still recomputes
-    /// its order from the actuals, so results never change.
-    pub fn with_adaptive(mut self, adaptive: bool) -> Self {
-        self.options.adaptive = adaptive;
-        self
     }
 
     /// The planner (plan cache + feedback store) serving a collection,
@@ -665,9 +597,8 @@ impl Database {
 
     /// The snapshot serving a σ over `source` (which must exist),
     /// building the next generation if none is cached. Returns the
-    /// `Arc` handed to the σ plus whether it was a cache hit. When the
-    /// plan cache is enabled and a cached snapshot lacks a planner
-    /// (checkpoint-built, or adopted without feedback), a planner is
+    /// `Arc` handed to the σ plus whether it was a cache hit. When a
+    /// cached snapshot lacks a planner (checkpoint-built), one is
     /// attached at the *same* generation — the data didn't change.
     fn read_snapshot(
         &mut self,
@@ -678,7 +609,7 @@ impl Database {
             if let Some(obs) = &opts.obs {
                 obs.add("engine.index_cache.hits", 1);
             }
-            if !self.plan_cache_enabled || s.planner().is_some() {
+            if s.planner().is_some() {
                 return Ok((Arc::clone(s), true));
             }
             let snap = Arc::new(GraphSnapshot::new(
@@ -702,11 +633,10 @@ impl Database {
             obs.add("engine.index_cache.misses", 1);
         }
         self.next_generation += 1;
-        let planner = self.plan_cache_enabled.then(|| Arc::new(Planner::new()));
         let snap = ops::build_collection_snapshot(
             &self.collections[source],
             self.next_generation,
-            planner,
+            Some(Arc::new(Planner::new())),
             opts,
         );
         self.snapshots.insert(source.to_string(), Arc::clone(&snap));
@@ -730,17 +660,16 @@ impl Database {
             .collect();
         match adopted {
             Ok(ix) => {
-                let planner = if self.plan_cache_enabled {
-                    let planner = Planner::new();
-                    if let Some(fb) = pending.feedback {
-                        planner.import_feedback(fb);
-                    }
-                    Some(Arc::new(planner))
-                } else {
-                    None
-                };
+                let planner = Planner::new();
+                if let Some(fb) = pending.feedback {
+                    planner.import_feedback(fb);
+                }
                 self.next_generation += 1;
-                let snap = Arc::new(GraphSnapshot::new(self.next_generation, ix, planner));
+                let snap = Arc::new(GraphSnapshot::new(
+                    self.next_generation,
+                    ix,
+                    Some(Arc::new(planner)),
+                ));
                 self.snapshots.insert(name.to_string(), Arc::clone(&snap));
                 Ok(Some(snap))
             }
@@ -1183,9 +1112,8 @@ mod tests {
     }
 
     /// Repeated FLWR statements over the same collection must hit the
-    /// plan cache (the planner persists across statements), mutation
-    /// must invalidate it, and `--no-plan-cache` must keep the planner
-    /// off entirely — with identical results in every configuration.
+    /// plan cache (the planner persists across statements) and mutation
+    /// must invalidate it — with identical results throughout.
     #[test]
     fn plan_cache_hits_across_statements_and_invalidates_on_mutation() {
         let query = r#"
@@ -1221,19 +1149,6 @@ mod tests {
         assert_eq!(third.returned[0].len(), first.returned[0].len());
         let rep = obs.report();
         assert_eq!(rep.counter("planner.cache.misses"), Some(2));
-
-        // Plan cache off: no planner exists, results identical.
-        let mut plain = Database::new().with_plan_cache(false);
-        let obs = plain.enable_profiling();
-        plain.add_graph("G", g);
-        let fourth = plain.execute(query).unwrap();
-        let fifth = plain.execute(query).unwrap();
-        assert!(plain.planner("G").is_none());
-        assert_eq!(fourth.returned[0].len(), first.returned[0].len());
-        assert_eq!(fifth.returned[0].len(), first.returned[0].len());
-        let rep = obs.report();
-        assert_eq!(rep.counter("planner.cache.hits").unwrap_or(0), 0);
-        assert_eq!(rep.counter("planner.cache.misses").unwrap_or(0), 0);
     }
 
     #[test]

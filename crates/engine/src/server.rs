@@ -21,7 +21,7 @@
 //! listener.
 
 use crate::metrics::MetricsRegistry;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,18 +89,51 @@ pub fn serve(
     })
 }
 
+/// Longest request line answered; a longer one gets `400`.
+const MAX_REQUEST_LINE: u64 = 8 * 1024;
+/// Most header bytes drained per request; more gets `431`.
+const MAX_HEADER_BYTES: u64 = 16 * 1024;
+
+/// Reads one `\n`-terminated line of at most `cap` bytes into `line`,
+/// so a client cannot grow the buffer without bound inside the read
+/// timeout. Returns false when the cap was reached before the line (or
+/// the stream) ended.
+fn read_line_capped(reader: &mut impl BufRead, cap: u64, line: &mut Vec<u8>) -> io::Result<bool> {
+    line.clear();
+    reader.take(cap).read_until(b'\n', line)?;
+    Ok(line.last() == Some(&b'\n') || (line.len() as u64) < cap)
+}
+
+fn respond(mut stream: TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
+    write!(
+        stream,
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )?;
+    stream.flush()
+}
+
 fn handle_connection(stream: TcpStream, registry: &MetricsRegistry) -> io::Result<()> {
+    const PLAIN: &str = "text/plain; charset=utf-8";
     let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut line = Vec::new();
+    if !read_line_capped(&mut reader, MAX_REQUEST_LINE, &mut line)? {
+        let body = "request line too long\n";
+        return respond(reader.into_inner(), "400 Bad Request", PLAIN, body);
+    }
+    let request_line = String::from_utf8_lossy(&line).into_owned();
     // Drain the remaining headers so well-behaved clients see a clean
     // close instead of a reset.
-    let mut line = String::new();
+    let mut budget = MAX_HEADER_BYTES;
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
+        if !read_line_capped(&mut reader, budget, &mut line)? {
+            let status = "431 Request Header Fields Too Large";
+            return respond(reader.into_inner(), status, PLAIN, "headers too large\n");
+        }
+        if line.is_empty() || line == b"\r\n" || line == b"\n" {
             break;
         }
+        budget -= line.len() as u64;
     }
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
@@ -110,7 +143,7 @@ fn handle_connection(stream: TcpStream, registry: &MetricsRegistry) -> io::Resul
     let (status, content_type, body) = if method != "GET" {
         (
             "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
+            PLAIN,
             "method not allowed\n".to_string(),
         )
     } else {
@@ -139,24 +172,17 @@ fn handle_connection(stream: TcpStream, registry: &MetricsRegistry) -> io::Resul
             ),
             _ => (
                 "404 Not Found",
-                "text/plain; charset=utf-8",
+                PLAIN,
                 "not found; try /metrics, /healthz, /slow\n".to_string(),
             ),
         }
     };
-    let mut stream = reader.into_inner();
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
+    respond(reader.into_inner(), status, content_type, &body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     /// Minimal test client: one GET, returns (status line, body).
     pub(crate) fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -210,6 +236,24 @@ mod tests {
         let (status, body) = http_get(server.addr(), "/healthz");
         assert!(status.contains("503"), "{status}");
         assert!(body.contains("\"status\": \"degraded\""), "{body}");
+    }
+
+    /// The cap is exact: a line may fill it only if its newline fits,
+    /// and a stream that ends early is a (short) complete line.
+    #[test]
+    fn capped_line_reads_stop_at_the_cap() {
+        let mut line = Vec::new();
+        let mut fits = &b"abc\nrest"[..];
+        assert!(read_line_capped(&mut fits, 4, &mut line).unwrap());
+        assert_eq!(line, b"abc\n");
+        let mut over = &b"abcd\n"[..];
+        assert!(!read_line_capped(&mut over, 4, &mut line).unwrap());
+        assert_eq!(line, b"abcd", "nothing past the cap is buffered");
+        let mut eof = &b"ab"[..];
+        assert!(read_line_capped(&mut eof, 4, &mut line).unwrap());
+        assert_eq!(line, b"ab");
+        let mut any = &b"x\n"[..];
+        assert!(!read_line_capped(&mut any, 0, &mut line).unwrap());
     }
 
     #[test]

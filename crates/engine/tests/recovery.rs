@@ -226,3 +226,57 @@ fn clean_close_reopens_without_rebuilding_indexes() {
     }
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A data dir checkpointed before the CSR snapshot became unconditional
+/// (options record `csr: false`, index parts without CSR arrays —
+/// written here through `gql_storage` directly) still opens; its index
+/// sections are *not* adopted — the options-mismatch path re-indexes on
+/// first query — and answers equal a never-persisted database's.
+#[test]
+fn checkpoint_recorded_without_csr_reopens_and_reindexes() {
+    use gql_core::storage::encode_collection;
+    use gql_match::GraphIndex;
+    use gql_storage::{CollectionSnapshot, Snapshot, Store, StoredOptions};
+
+    let dir = tmpdir("nocsr");
+    let g = test_graph();
+    let mut parts = GraphIndex::build_with_profiles(&g, 1).to_parts();
+    parts.csr = None;
+    let (mut store, _) = Store::open(&dir).unwrap();
+    store
+        .checkpoint(&Snapshot {
+            options: Some(StoredOptions {
+                csr: false,
+                prop_index: true,
+                profiles: true,
+                radius: 1,
+            }),
+            collections: vec![CollectionSnapshot {
+                name: "G".into(),
+                payload: encode_collection([&g]),
+                indexes: vec![parts],
+                feedback: None,
+            }],
+            ..Snapshot::default()
+        })
+        .unwrap();
+    drop(store);
+
+    for threads in [1usize, 2, 8] {
+        let mut db = Database::open(&dir).unwrap().with_threads(threads);
+        let obs = db.enable_profiling();
+        assert_eq!(
+            run_query(&mut db),
+            baseline(&g, threads),
+            "{threads} threads"
+        );
+        let rep = obs.report();
+        assert_eq!(
+            rep.counter("index.builds"),
+            Some(1),
+            "stale index sections must be rebuilt, not adopted"
+        );
+        assert_eq!(rep.counter("engine.index_cache.hits").unwrap_or(0), 0);
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}

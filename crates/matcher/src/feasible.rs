@@ -10,8 +10,8 @@
 //! profile is encoded once as an [`gql_core::IdProfile`] and each
 //! candidate is first screened by the O(1) 64-bit signature test, then
 //! by the exact id-multiset containment — no `Value` comparisons and no
-//! per-candidate profile clones. [`feasible_mates_reference`] keeps the
-//! `Value`-typed kernel alive as the equivalence oracle.
+//! per-candidate profile clones. The `Value`-typed kernel lives on as the
+//! equivalence oracle in `tests/support`.
 
 use crate::expr::{EvalCtx, Expr};
 use crate::index::GraphIndex;
@@ -309,155 +309,85 @@ pub fn estimated_access(pattern: &Pattern, index: &GraphIndex, u: NodeId) -> u64
     est.ceil() as u64
 }
 
-/// Computes `Φ(u)` for one pattern node (retrieval + local pruning).
-fn mates_for(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    u: NodeId,
-) -> (Vec<NodeId>, RetrieveAccess) {
-    let (base, access) = retrieve(pattern, g, index, u);
-    (mates_prune(pattern, g, index, pruning, u, base), access)
+/// Where local pruning reports the candidates it rejects. Statically
+/// dispatched: [`mates_for`] is monomorphised once over [`NoStats`] —
+/// whose calls compile to nothing, so the un-instrumented candidate loop
+/// stays branch-free — and once over the counting [`RetrieveStats`].
+trait RejectSink {
+    /// `n` candidates failed the O(1) profile length/signature screen.
+    fn sig_rejected(&mut self, n: u64);
+    /// One candidate failed the exact containment / sub-isomorphism test.
+    fn exact_rejected(&mut self);
 }
 
-/// The local-pruning stage of [`mates_for`], shared with the access-path
-/// aware callers.
-fn mates_prune(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    u: NodeId,
-    mut base: Vec<NodeId>,
-) -> Vec<NodeId> {
-    match pruning {
-        LocalPruning::NodeAttributes => base,
-        LocalPruning::Profiles { radius } => {
-            let pu = Profile::of_neighborhood(&pattern.graph, u, radius);
-            if index.has_profiles() && index.radius() == radius {
-                // Interned fast path: encode the pattern profile once;
-                // an unencodable profile contains a label absent from
-                // the data graph, so nothing can subsume it.
-                match index.interner().encode_profile(&pu) {
-                    Some(pid) => base.retain(|&v| pid.subsumed_by(index.id_profile(v))),
-                    None => base.clear(),
-                }
-                base
-            } else {
-                // Index lacks radius-`radius` profiles: compute data
-                // profiles on the fly (owned, but never cloned from the
-                // index).
-                base.retain(|&v| pu.subsumed_by(&Profile::of_neighborhood(g, v, radius)));
-                base
-            }
-        }
-        LocalPruning::Subgraphs { radius } => {
-            let nu = neighborhood_subgraph(&pattern.graph, u, radius);
-            base.retain(|&v| {
-                if index.has_neighborhoods() && index.radius() == radius {
-                    let nv = index.neighborhood(v);
-                    subgraph_isomorphic_anchored(&nu.graph, &nv.graph, (nu.center, nv.center))
-                } else {
-                    let nv = neighborhood_subgraph(g, v, radius);
-                    subgraph_isomorphic_anchored(&nu.graph, &nv.graph, (nu.center, nv.center))
-                }
-            });
-            base
-        }
+/// The zero-sized no-op sink of the un-instrumented kernel.
+struct NoStats;
+
+impl RejectSink for NoStats {
+    #[inline(always)]
+    fn sig_rejected(&mut self, _: u64) {}
+    #[inline(always)]
+    fn exact_rejected(&mut self) {}
+}
+
+impl RejectSink for RetrieveStats {
+    #[inline]
+    fn sig_rejected(&mut self, n: u64) {
+        self.sig_rejected += n;
+    }
+    #[inline]
+    fn exact_rejected(&mut self) {
+        self.exact_rejected += 1;
     }
 }
 
-/// Computes feasible mates `Φ(u)` for every pattern node.
-///
-/// Retrieval is by indexed access when the pattern node constrains the
-/// `label` attribute ("indexed access to the node attributes, followed by
-/// pruning using neighborhood subgraphs or profiles"), else by a scan.
-pub fn feasible_mates(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-) -> Vec<Vec<NodeId>> {
-    feasible_mates_par(pattern, g, index, pruning, 1)
-}
-
-/// [`feasible_mates`] with the per-pattern-node work spread across
-/// `threads` workers (`0` = available cores). Each `Φ(u)` is
-/// independent, so the result is identical for every thread count.
-pub fn feasible_mates_par(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    threads: usize,
-) -> Vec<Vec<NodeId>> {
-    feasible_mates_access_par(pattern, g, index, pruning, threads).0
-}
-
-/// [`feasible_mates_par`] additionally reporting the per-pattern-node
-/// [`RetrieveAccess`] decision (which access path ran and how much it
-/// narrowed). The mates are identical to the plain path's.
-pub fn feasible_mates_access_par(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-    threads: usize,
-) -> (Vec<Vec<NodeId>>, Vec<RetrieveAccess>) {
-    let ids: Vec<NodeId> = pattern.graph.node_ids().collect();
-    let pairs =
-        gql_core::par_map_slice(&ids, threads, |&u| mates_for(pattern, g, index, pruning, u));
-    pairs.into_iter().unzip()
-}
-
-/// Like [`mates_for`] but attributing every pruned candidate to the
-/// filter that rejected it. Kept as a separate function (rather than an
-/// `Option<&mut ..>` parameter threaded through the hot path) so the
-/// un-instrumented kernel stays branch-free; the equivalence test below
-/// pins the two against each other.
-fn mates_for_stats(
+/// Computes `Φ(u)` for one pattern node: retrieval, then local pruning
+/// with every rejected candidate attributed to `sink`.
+fn mates_for<S: RejectSink>(
     pattern: &Pattern,
     g: &Graph,
     index: &GraphIndex,
     pruning: LocalPruning,
     u: NodeId,
-) -> (Vec<NodeId>, RetrieveStats, RetrieveAccess) {
+    sink: &mut S,
+) -> (Vec<NodeId>, RetrieveAccess) {
     let (mut base, access) = retrieve(pattern, g, index, u);
-    let mut stats = RetrieveStats {
-        candidates: base.len() as u64,
-        ..RetrieveStats::default()
-    };
     match pruning {
         LocalPruning::NodeAttributes => {}
         LocalPruning::Profiles { radius } => {
             let pu = Profile::of_neighborhood(&pattern.graph, u, radius);
             if index.has_profiles() && index.radius() == radius {
+                // Interned fast path: encode the pattern profile once.
                 match index.interner().encode_profile(&pu) {
                     Some(pid) => base.retain(|&v| {
                         let pv = index.id_profile(v);
                         if pid.signature_rejects(pv) {
-                            stats.sig_rejected += 1;
+                            sink.sig_rejected(1);
                             false
                         } else if !pid.contained_exact(pv) {
-                            stats.exact_rejected += 1;
+                            sink.exact_rejected();
                             false
                         } else {
                             true
                         }
                     }),
                     None => {
-                        // Unencodable pattern profile: the whole base is
-                        // rejected by the (vacuous) signature screen.
-                        stats.sig_rejected += base.len() as u64;
+                        // An unencodable profile contains a label absent
+                        // from the data graph, so nothing can subsume it:
+                        // the whole base is rejected by the (vacuous)
+                        // signature screen.
+                        sink.sig_rejected(base.len() as u64);
                         base.clear();
                     }
                 }
             } else {
+                // Index lacks radius-`radius` profiles: compute data
+                // profiles on the fly (owned, but never cloned from the
+                // index).
                 base.retain(|&v| {
                     let keep = pu.subsumed_by(&Profile::of_neighborhood(g, v, radius));
                     if !keep {
-                        stats.exact_rejected += 1;
+                        sink.exact_rejected();
                     }
                     keep
                 });
@@ -474,20 +404,51 @@ fn mates_for_stats(
                     subgraph_isomorphic_anchored(&nu.graph, &nv.graph, (nu.center, nv.center))
                 };
                 if !keep {
-                    stats.exact_rejected += 1;
+                    sink.exact_rejected();
                 }
                 keep
             });
         }
     }
-    stats.kept = base.len() as u64;
-    (base, stats, access)
+    (base, access)
 }
 
-/// [`feasible_mates_par`] plus [`RetrieveStats`] attributing pruned
-/// candidates to the signature screen vs. the exact test. The mates are
-/// identical to the plain path's; the stats are identical at every
-/// thread count.
+/// Computes feasible mates `Φ(u)` for every pattern node.
+///
+/// Retrieval is by indexed access when the pattern node constrains the
+/// `label` attribute ("indexed access to the node attributes, followed by
+/// pruning using neighborhood subgraphs or profiles"), else by a scan.
+pub fn feasible_mates(
+    pattern: &Pattern,
+    g: &Graph,
+    index: &GraphIndex,
+    pruning: LocalPruning,
+) -> Vec<Vec<NodeId>> {
+    feasible_mates_access_par(pattern, g, index, pruning, 1).0
+}
+
+/// [`feasible_mates`] with the per-pattern-node work spread across
+/// `threads` workers (`0` = available cores; each `Φ(u)` is independent,
+/// so the result is identical for every thread count), additionally
+/// reporting the per-pattern-node [`RetrieveAccess`] decision (which
+/// access path ran and how much it narrowed).
+pub fn feasible_mates_access_par(
+    pattern: &Pattern,
+    g: &Graph,
+    index: &GraphIndex,
+    pruning: LocalPruning,
+    threads: usize,
+) -> (Vec<Vec<NodeId>>, Vec<RetrieveAccess>) {
+    let ids: Vec<NodeId> = pattern.graph.node_ids().collect();
+    let pairs = gql_core::par_map_slice(&ids, threads, |&u| {
+        mates_for(pattern, g, index, pruning, u, &mut NoStats)
+    });
+    pairs.into_iter().unzip()
+}
+
+/// [`feasible_mates_access_par`]'s mates plus [`RetrieveStats`]
+/// attributing pruned candidates to the signature screen vs. the exact
+/// test. The stats are identical at every thread count.
 pub fn feasible_mates_stats_par(
     pattern: &Pattern,
     g: &Graph,
@@ -509,9 +470,8 @@ pub fn feasible_mates_stats_par(
 /// along with each node's [`RetrieveAccess`] decision.
 /// With a [`TraceSink`] attached, each node's retrieval is additionally
 /// recorded as a `retrieve.node` complete event carrying candidates
-/// in/out, on whichever worker thread ran it. The mates and counters are
-/// identical to the plain paths' at every thread count.
-pub fn feasible_mates_stats_per_node(
+/// in/out, on whichever worker thread ran it.
+pub(crate) fn feasible_mates_stats_per_node(
     pattern: &Pattern,
     g: &Graph,
     index: &GraphIndex,
@@ -520,11 +480,15 @@ pub fn feasible_mates_stats_per_node(
     trace: Option<&TraceSink>,
 ) -> (Vec<Vec<NodeId>>, Vec<RetrieveStats>, Vec<RetrieveAccess>) {
     let ids: Vec<NodeId> = pattern.graph.node_ids().collect();
-    let per_node = gql_core::par_map_slice(&ids, threads, |&u| match trace {
-        None => mates_for_stats(pattern, g, index, pruning, u),
-        Some(sink) => {
-            let start = Instant::now();
-            let (m, s, a) = mates_for_stats(pattern, g, index, pruning, u);
+    let per_node = gql_core::par_map_slice(&ids, threads, |&u| {
+        let start = trace.map(|_| Instant::now());
+        let mut s = RetrieveStats::default();
+        let (m, a) = mates_for(pattern, g, index, pruning, u, &mut s);
+        // Every candidate entering local pruning is either kept or
+        // charged to exactly one of the two reject counters.
+        s.kept = m.len() as u64;
+        s.candidates = s.kept + s.sig_rejected + s.exact_rejected;
+        if let (Some(sink), Some(start)) = (trace, start) {
             sink.complete(
                 format!("retrieve.node[{}]", u.index()),
                 "match",
@@ -536,8 +500,8 @@ pub fn feasible_mates_stats_per_node(
                     ("kept", ArgValue::UInt(s.kept)),
                 ],
             );
-            (m, s, a)
         }
+        (m, s, a)
     });
     let mut mates = Vec::with_capacity(per_node.len());
     let mut stats = Vec::with_capacity(per_node.len());
@@ -548,68 +512,6 @@ pub fn feasible_mates_stats_per_node(
         access.push(a);
     }
     (mates, stats, access)
-}
-
-/// Reference (oracle) implementation of [`feasible_mates`]: the
-/// `Value`-typed §4.2 kernel, kept verbatim so the interned fast path
-/// can be checked for observable equivalence. Profile pruning borrows
-/// the precomputed profile (no clone) and materializes one only when
-/// computing on the fly.
-pub fn feasible_mates_reference(
-    pattern: &Pattern,
-    g: &Graph,
-    index: &GraphIndex,
-    pruning: LocalPruning,
-) -> Vec<Vec<NodeId>> {
-    pattern
-        .graph
-        .node_ids()
-        .map(|u| {
-            let (base, _) = retrieve(pattern, g, index, u);
-            match pruning {
-                LocalPruning::NodeAttributes => base,
-                LocalPruning::Profiles { radius } => {
-                    let pu = Profile::of_neighborhood(&pattern.graph, u, radius);
-                    base.into_iter()
-                        .filter(|&v| {
-                            let owned;
-                            let pv: &Profile = if index.has_profiles() && index.radius() == radius {
-                                index.profile(v)
-                            } else {
-                                owned = Profile::of_neighborhood(g, v, radius);
-                                &owned
-                            };
-                            pu.subsumed_by(pv)
-                        })
-                        .collect()
-                }
-                // Subgraph pruning never touched the interned tables;
-                // the fast path is the reference.
-                LocalPruning::Subgraphs { radius } => {
-                    let mut base = base;
-                    let nu = neighborhood_subgraph(&pattern.graph, u, radius);
-                    base.retain(|&v| {
-                        if index.has_neighborhoods() && index.radius() == radius {
-                            let nv = index.neighborhood(v);
-                            subgraph_isomorphic_anchored(
-                                &nu.graph,
-                                &nv.graph,
-                                (nu.center, nv.center),
-                            )
-                        } else {
-                            let nv = neighborhood_subgraph(g, v, radius);
-                            subgraph_isomorphic_anchored(
-                                &nu.graph,
-                                &nv.graph,
-                                (nu.center, nv.center),
-                            )
-                        }
-                    });
-                    base
-                }
-            }
-        })
-        .collect()
 }
 
 /// Static per-pattern-node candidate estimate from label frequencies:
@@ -714,86 +616,6 @@ mod tests {
         assert_eq!(names(&g, &m[0]), ["A1"]);
         assert_eq!(names(&g, &m[1]), ["B1", "B2"]);
         assert_eq!(names(&g, &m[2]), ["C2"]);
-    }
-
-    /// The interned fast path and the `Value` reference kernel agree on
-    /// every pruning strategy.
-    #[test]
-    fn fast_path_matches_reference() {
-        let (p, g, idx) = setup();
-        let plain = GraphIndex::build(&g);
-        for pruning in [
-            LocalPruning::NodeAttributes,
-            LocalPruning::Profiles { radius: 1 },
-            LocalPruning::Profiles { radius: 2 },
-            LocalPruning::Subgraphs { radius: 1 },
-        ] {
-            assert_eq!(
-                feasible_mates(&p, &g, &idx, pruning),
-                feasible_mates_reference(&p, &g, &idx, pruning),
-                "full index, {pruning:?}"
-            );
-            assert_eq!(
-                feasible_mates(&p, &g, &plain, pruning),
-                feasible_mates_reference(&p, &g, &plain, pruning),
-                "plain index, {pruning:?}"
-            );
-        }
-    }
-
-    /// A pattern label absent from the data graph empties the profile
-    /// space on both paths.
-    #[test]
-    fn unknown_pattern_label_empties_space() {
-        let (_, g, idx) = setup();
-        let p = Pattern::structural(gql_core::fixtures::labeled_path(&["A", "Z"]));
-        let fast = feasible_mates(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
-        let refr = feasible_mates_reference(&p, &g, &idx, LocalPruning::Profiles { radius: 1 });
-        assert_eq!(fast, refr);
-        assert!(fast.iter().all(|m| m.is_empty()));
-    }
-
-    /// The stats-collecting path returns the same mates as the plain
-    /// path for every strategy, its counters add up, and the counters
-    /// are identical at every thread count.
-    #[test]
-    fn stats_path_matches_plain_path() {
-        let (p, g, idx) = setup();
-        let plain_idx = GraphIndex::build(&g);
-        for (index, name) in [(&idx, "full"), (&plain_idx, "plain")] {
-            for pruning in [
-                LocalPruning::NodeAttributes,
-                LocalPruning::Profiles { radius: 1 },
-                LocalPruning::Profiles { radius: 2 },
-                LocalPruning::Subgraphs { radius: 1 },
-            ] {
-                let mates = feasible_mates(&p, &g, index, pruning);
-                let (m1, s1) = feasible_mates_stats_par(&p, &g, index, pruning, 1);
-                assert_eq!(m1, mates, "{name} {pruning:?}");
-                assert_eq!(
-                    s1.candidates,
-                    s1.sig_rejected + s1.exact_rejected + s1.kept,
-                    "{name} {pruning:?}: counters must add up: {s1:?}"
-                );
-                assert_eq!(
-                    s1.kept as usize,
-                    mates.iter().map(Vec::len).sum::<usize>(),
-                    "{name} {pruning:?}"
-                );
-                for threads in [2, 8] {
-                    let (mt, st) = feasible_mates_stats_par(&p, &g, index, pruning, threads);
-                    assert_eq!(mt, mates, "{name} {pruning:?} threads={threads}");
-                    assert_eq!(st, s1, "{name} {pruning:?} threads={threads}");
-                }
-            }
-        }
-        // An unencodable pattern profile (unknown label) must charge the
-        // whole base to the signature screen.
-        let zp = Pattern::structural(gql_core::fixtures::labeled_path(&["A", "Z"]));
-        let (zm, zs) =
-            feasible_mates_stats_par(&zp, &g, &idx, LocalPruning::Profiles { radius: 1 }, 1);
-        assert!(zm.iter().all(|m| m.is_empty()));
-        assert_eq!(zs.candidates, zs.sig_rejected);
     }
 
     /// The per-node stats variant returns the same mates, its counters
@@ -954,7 +776,7 @@ mod tests {
                 assert_eq!(access[1].path, AccessPath::BucketScan);
                 for threads in [2, 8] {
                     assert_eq!(
-                        feasible_mates_par(&p, &g, &indexed, pruning, threads),
+                        feasible_mates_access_par(&p, &g, &indexed, pruning, threads).0,
                         probed,
                         "{preds:?} threads={threads}"
                     );

@@ -30,13 +30,10 @@ pub struct IndexOptions {
     pub subgraphs: bool,
     /// Worker count for the parallel build phases (`0` = cores).
     pub threads: usize,
-    /// Attach the [`CsrGraph`] adjacency snapshot (the default; turning
-    /// it off — the `--no-csr` escape hatch — drops every pipeline
-    /// phase back to the `Vec`-adjacency kernels).
-    pub csr: bool,
-    /// Build the sorted secondary property index (the default; turning
-    /// it off — the `--no-prop-index` escape hatch — makes retrieval
-    /// evaluate every attribute predicate by scanning the label bucket).
+    /// Build the sorted secondary property index. Every production
+    /// builder does; `false` makes retrieval evaluate every attribute
+    /// predicate by scanning the label bucket — the reference the
+    /// probe-vs-scan equivalence suites compare against.
     pub prop_index: bool,
 }
 
@@ -47,7 +44,6 @@ impl Default for IndexOptions {
             profiles: true,
             subgraphs: false,
             threads: 1,
-            csr: true,
             prop_index: true,
         }
     }
@@ -68,7 +64,9 @@ pub struct IndexParts {
     pub node_label_ids: Slab<u32>,
     /// Per-edge label ids in edge order.
     pub edge_label_ids: Slab<u32>,
-    /// Raw CSR arrays, if the index carried a snapshot.
+    /// Raw CSR arrays. Every index carries a snapshot; `None` only
+    /// decodes from checkpoints written without one, which
+    /// [`GraphIndex::from_parts`] rejects.
     pub csr: Option<CsrParts>,
     /// Flattened per-node interned profile multisets: node `v`'s sorted
     /// ids are `profile_ids[profile_offsets[v]..profile_offsets[v+1]]`.
@@ -87,7 +85,7 @@ pub struct IndexParts {
 
 /// Per-graph index: label-id table over the `label` attribute plus
 /// optional precomputed radius-`r` profiles and neighborhood subgraphs,
-/// and (by default) the cache-contiguous [`CsrGraph`] snapshot the
+/// and the cache-contiguous [`CsrGraph`] snapshot the
 /// search/refine/profile kernels run on.
 #[derive(Debug, Default)]
 pub struct GraphIndex {
@@ -101,7 +99,7 @@ pub struct GraphIndex {
     profiles: Vec<Profile>,
     id_profiles: Vec<IdProfile>,
     neighborhoods: Vec<NeighborhoodSubgraph>,
-    csr: Option<CsrGraph>,
+    csr: CsrGraph,
     /// Sorted per-(label, attribute) value runs, unless built with
     /// `prop_index: false`.
     prop: Option<PropIndex>,
@@ -112,39 +110,38 @@ pub struct GraphIndex {
 impl GraphIndex {
     /// Builds the label index and statistics only (no neighborhood data).
     pub fn build(g: &Graph) -> Self {
-        Self::build_inner(g, 0, false, false, 1, true, true)
+        Self::build_inner(g, 0, false, false, 1, true)
     }
 
     /// Builds the label index plus radius-`r` profiles (the practical
     /// combination recommended by the paper's §5 summary).
     pub fn build_with_profiles(g: &Graph, radius: usize) -> Self {
-        Self::build_inner(g, radius, true, false, 1, true, true)
+        Self::build_inner(g, radius, true, false, 1, true)
     }
 
     /// [`GraphIndex::build_with_profiles`] with per-node profile
     /// computation spread across `threads` workers (`0` = available
     /// cores). The resulting index is identical.
     pub fn build_with_profiles_par(g: &Graph, radius: usize, threads: usize) -> Self {
-        Self::build_inner(g, radius, true, false, threads, true, true)
+        Self::build_inner(g, radius, true, false, threads, true)
     }
 
     /// Builds label index, profiles, *and* materialized neighborhood
     /// subgraphs of radius `r` (heavier; used by retrieve-by-subgraphs).
     pub fn build_full(g: &Graph, radius: usize) -> Self {
-        Self::build_inner(g, radius, true, true, 1, true, true)
+        Self::build_inner(g, radius, true, true, 1, true)
     }
 
     /// [`GraphIndex::build_full`] with per-node profile/neighborhood
     /// computation spread across `threads` workers (`0` = available
     /// cores). The resulting index is identical.
     pub fn build_full_par(g: &Graph, radius: usize, threads: usize) -> Self {
-        Self::build_inner(g, radius, true, true, threads, true, true)
+        Self::build_inner(g, radius, true, true, threads, true)
     }
 
-    /// Builds exactly what `opts` asks for — the one constructor with
-    /// knobs for skipping the CSR snapshot (`csr: false`) and the
-    /// property index (`prop_index: false`). Index contents other than
-    /// those structures are identical either way.
+    /// Builds exactly what `opts` asks for — the one constructor that
+    /// can skip the property index (`prop_index: false`). Index contents
+    /// other than that structure are identical either way.
     pub fn build_with(g: &Graph, opts: &IndexOptions) -> Self {
         Self::build_inner(
             g,
@@ -152,7 +149,6 @@ impl GraphIndex {
             opts.profiles,
             opts.subgraphs,
             opts.threads,
-            opts.csr,
             opts.prop_index,
         )
     }
@@ -163,7 +159,6 @@ impl GraphIndex {
         profiles: bool,
         subgraphs: bool,
         threads: usize,
-        csr: bool,
         prop_index: bool,
     ) -> Self {
         // Intern the label domain and build the id-keyed label table in
@@ -199,7 +194,7 @@ impl GraphIndex {
         let interner = std::sync::Arc::new(interner);
         let mut stats =
             GraphStats::from_interned(std::sync::Arc::clone(&interner), g, &node_label_ids);
-        let csr = csr.then(|| CsrGraph::build(g, &node_label_ids, threads));
+        let csr = CsrGraph::build(g, &node_label_ids, threads);
         // Sorted property runs over the same label-id tables; run
         // summaries feed the planner's selectivity estimates.
         let prop = prop_index.then(|| {
@@ -210,40 +205,21 @@ impl GraphIndex {
             pi
         });
         // Per-node profiles and neighborhood balls are independent; fan
-        // them out across workers in node order. With a CSR snapshot the
-        // interned profiles come straight from its zero-allocation BFS
-        // and the `Value` profiles are decoded from them; without one,
-        // the `Value` profiles are computed first and then encoded.
-        // Either order yields identical vectors.
+        // them out across workers in node order. The interned profiles
+        // come straight from the snapshot's zero-allocation BFS and the
+        // `Value` profiles are decoded from them.
         let ids: Vec<NodeId> = g.node_ids().collect();
         let (profiles, id_profiles) = if profiles {
-            match &csr {
-                Some(snapshot) => {
-                    let id_profiles = gql_core::par_map_index_with(
-                        ids.len(),
-                        threads,
-                        ProfileScratch::new,
-                        |scratch, i| snapshot.id_profile(ids[i], radius, scratch),
-                    );
-                    let profiles = gql_core::par_map_slice(&id_profiles, threads, |p| {
-                        Profile::from_labels(p.ids().iter().map(|&id| interner.resolve(id).clone()))
-                    });
-                    (profiles, id_profiles)
-                }
-                None => {
-                    let profiles = gql_core::par_map_slice(&ids, threads, |&v| {
-                        Profile::of_neighborhood(g, v, radius)
-                    });
-                    // Re-encode profiles on label ids. Every profile label
-                    // is a node label of `g`, so encoding cannot fail.
-                    let id_profiles = gql_core::par_map_slice(&profiles, threads, |p| {
-                        interner
-                            .encode_profile(p)
-                            .expect("profile labels are node labels and therefore interned")
-                    });
-                    (profiles, id_profiles)
-                }
-            }
+            let id_profiles = gql_core::par_map_index_with(
+                ids.len(),
+                threads,
+                ProfileScratch::new,
+                |scratch, i| csr.id_profile(ids[i], radius, scratch),
+            );
+            let profiles = gql_core::par_map_slice(&id_profiles, threads, |p| {
+                Profile::from_labels(p.ids().iter().map(|&id| interner.resolve(id).clone()))
+            });
+            (profiles, id_profiles)
         } else {
             (Vec::new(), Vec::new())
         };
@@ -294,7 +270,7 @@ impl GraphIndex {
                 .collect(),
             node_label_ids: self.node_label_ids.clone(),
             edge_label_ids: self.edge_label_ids.clone(),
-            csr: self.csr.as_ref().map(CsrGraph::to_parts),
+            csr: Some(self.csr.to_parts()),
             profile_offsets,
             profile_ids,
             radius: self.radius,
@@ -350,78 +326,74 @@ impl GraphIndex {
             }
         }
         let interner = std::sync::Arc::new(interner);
-        let csr = match parts.csr {
-            Some(raw) => {
-                if raw.node_labels != parts.node_label_ids {
-                    return Err("csr label table does not match the index");
-                }
-                if raw.directed != g.is_directed() {
-                    return Err("csr direction does not match the graph");
-                }
-                let csr = CsrGraph::from_parts(raw)?;
-                // Entry counts must cover the graph exactly; a pruned or
-                // padded entry slab would pass row-local validation.
-                let expect: usize = g.node_ids().map(|v| g.degree(v)).sum();
-                if csr.node_count() != g.node_count()
-                    || g.node_ids().map(|v| csr.degree(v)).sum::<usize>() != expect
-                {
-                    return Err("csr does not cover the graph");
-                }
-                // Per-entry endpoint verification against the live
-                // graph: every row entry must name a real edge that
-                // connects the row's node to the entry's neighbor, and
-                // carry the neighbor's label id. This pins the adopted
-                // arrays semantically — a bit flip in a mapped entry
-                // (or in an offset that shifts row boundaries) is
-                // caught here even when section checksums are skipped
-                // on the lazy-verification open path. O(E) with
-                // array-indexed lookups; no hashing, no sorting.
-                let check_entry = |v: NodeId, e: &gql_core::CsrEntry, need_src: Option<bool>| {
-                    if e.edge as usize >= g.edge_count() {
-                        return Err("csr entry edge out of range");
-                    }
-                    let edge = g.edge(EdgeId(e.edge));
-                    let w = NodeId(e.node);
-                    let connects = match need_src {
-                        // Directed out-row: v must be the source.
-                        Some(true) => edge.src == v && edge.dst == w,
-                        // Directed in-row: v must be the target.
-                        Some(false) => edge.src == w && edge.dst == v,
-                        // Either orientation (undirected, or `all`).
-                        None => {
-                            (edge.src == v && edge.dst == w) || (edge.src == w && edge.dst == v)
-                        }
-                    };
-                    if !connects {
-                        return Err("csr entry does not match a graph edge");
-                    }
-                    if e.label != parts.node_label_ids[w.index()] {
-                        return Err("csr entry label does not match the neighbor");
-                    }
-                    Ok(())
-                };
-                let directed = g.is_directed();
-                for v in g.node_ids() {
-                    for e in csr.neighbors(v) {
-                        check_entry(v, e, directed.then_some(true))?;
-                    }
-                    if directed {
-                        for e in csr.in_neighbors(v) {
-                            check_entry(v, e, Some(false))?;
-                        }
-                        if csr.in_neighbors(v).len() != g.in_neighbors(v).len()
-                            || csr.incident_degree(v) != g.incident_degree(v)
-                        {
-                            return Err("csr reverse rows do not cover the graph");
-                        }
-                        for e in csr.incident(v) {
-                            check_entry(v, e, None)?;
-                        }
-                    }
-                }
-                Some(csr)
+        let csr = {
+            let raw = parts.csr.ok_or("index parts carry no csr snapshot")?;
+            if raw.node_labels != parts.node_label_ids {
+                return Err("csr label table does not match the index");
             }
-            None => None,
+            if raw.directed != g.is_directed() {
+                return Err("csr direction does not match the graph");
+            }
+            let csr = CsrGraph::from_parts(raw)?;
+            // Entry counts must cover the graph exactly; a pruned or
+            // padded entry slab would pass row-local validation.
+            let expect: usize = g.node_ids().map(|v| g.degree(v)).sum();
+            if csr.node_count() != g.node_count()
+                || g.node_ids().map(|v| csr.degree(v)).sum::<usize>() != expect
+            {
+                return Err("csr does not cover the graph");
+            }
+            // Per-entry endpoint verification against the live
+            // graph: every row entry must name a real edge that
+            // connects the row's node to the entry's neighbor, and
+            // carry the neighbor's label id. This pins the adopted
+            // arrays semantically — a bit flip in a mapped entry
+            // (or in an offset that shifts row boundaries) is
+            // caught here even when section checksums are skipped
+            // on the lazy-verification open path. O(E) with
+            // array-indexed lookups; no hashing, no sorting.
+            let check_entry = |v: NodeId, e: &gql_core::CsrEntry, need_src: Option<bool>| {
+                if e.edge as usize >= g.edge_count() {
+                    return Err("csr entry edge out of range");
+                }
+                let edge = g.edge(EdgeId(e.edge));
+                let w = NodeId(e.node);
+                let connects = match need_src {
+                    // Directed out-row: v must be the source.
+                    Some(true) => edge.src == v && edge.dst == w,
+                    // Directed in-row: v must be the target.
+                    Some(false) => edge.src == w && edge.dst == v,
+                    // Either orientation (undirected, or `all`).
+                    None => (edge.src == v && edge.dst == w) || (edge.src == w && edge.dst == v),
+                };
+                if !connects {
+                    return Err("csr entry does not match a graph edge");
+                }
+                if e.label != parts.node_label_ids[w.index()] {
+                    return Err("csr entry label does not match the neighbor");
+                }
+                Ok(())
+            };
+            let directed = g.is_directed();
+            for v in g.node_ids() {
+                for e in csr.neighbors(v) {
+                    check_entry(v, e, directed.then_some(true))?;
+                }
+                if directed {
+                    for e in csr.in_neighbors(v) {
+                        check_entry(v, e, Some(false))?;
+                    }
+                    if csr.in_neighbors(v).len() != g.in_neighbors(v).len()
+                        || csr.incident_degree(v) != g.incident_degree(v)
+                    {
+                        return Err("csr reverse rows do not cover the graph");
+                    }
+                    for e in csr.incident(v) {
+                        check_entry(v, e, None)?;
+                    }
+                }
+            }
+            csr
         };
         // Rebuild the interned profiles as zero-copy sub-slabs of the
         // flattened id array, validating the offsets table and each
@@ -556,13 +528,10 @@ impl GraphIndex {
         !self.neighborhoods.is_empty()
     }
 
-    /// The CSR adjacency snapshot, unless the index was built with
-    /// `csr: false` ([`IndexOptions`]). Pipeline phases treat `None` as
-    /// "use the `Vec`-adjacency kernels" and produce identical results
-    /// either way.
+    /// The CSR adjacency snapshot the refine and search kernels read.
     #[inline]
-    pub fn csr(&self) -> Option<&CsrGraph> {
-        self.csr.as_ref()
+    pub fn csr(&self) -> &CsrGraph {
+        &self.csr
     }
 
     /// The sorted secondary property index, unless the index was built
@@ -639,34 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_and_vec_profile_builds_agree() {
-        let (g, _) = figure_4_16_graph();
-        for threads in [1, 2, 8] {
-            let with = GraphIndex::build_with(
-                &g,
-                &IndexOptions {
-                    threads,
-                    ..Default::default()
-                },
-            );
-            let without = GraphIndex::build_with(
-                &g,
-                &IndexOptions {
-                    threads,
-                    csr: false,
-                    ..Default::default()
-                },
-            );
-            assert!(with.csr().is_some());
-            assert!(without.csr().is_none());
-            for v in g.node_ids() {
-                assert_eq!(with.profile(v), without.profile(v), "{v:?}");
-                assert_eq!(with.id_profile(v), without.id_profile(v), "{v:?}");
-            }
-        }
-    }
-
-    #[test]
     fn prop_index_builds_by_default_and_gates_off() {
         let (g, _) = figure_4_16_graph();
         let idx = GraphIndex::build(&g);
@@ -716,13 +657,9 @@ mod tests {
                 idx.nodes_with_label(&label.into())
             );
         }
-        let csr = back.csr().expect("csr restored");
         for a in g.node_ids() {
             for b in g.node_ids() {
-                assert_eq!(
-                    csr.edge_between(a, b),
-                    idx.csr().unwrap().edge_between(a, b)
-                );
+                assert_eq!(back.csr().edge_between(a, b), idx.csr().edge_between(a, b));
             }
         }
         assert!(back.prop().is_some());
@@ -749,6 +686,10 @@ mod tests {
         assert!(GraphIndex::from_parts(&g, bad).is_err());
         let mut bad = idx.to_parts();
         bad.interner_values.push(Value::from("A"));
+        assert!(GraphIndex::from_parts(&g, bad).is_err());
+        // Parts from a checkpoint written without a CSR snapshot.
+        let mut bad = idx.to_parts();
+        bad.csr = None;
         assert!(GraphIndex::from_parts(&g, bad).is_err());
     }
 

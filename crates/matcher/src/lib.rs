@@ -15,6 +15,20 @@
 //! [`MatchOptions::optimized`] correspond to the configurations compared
 //! in the paper's experiments.
 //!
+//! There is one pipeline. [`MatchOptions`] carries the paper's four
+//! experiment knobs (pruning mode, refine level, order optimisation, γ
+//! mode) plus run limits, threads and telemetry sinks — nothing that
+//! selects between implementations of the same answer. Each phase has
+//! one kernel, also callable on its own: [`feasible_mates_access_par`]
+//! (and [`feasible_mates_stats_par`], the same body monomorphised over
+//! a counting sink; [`feasible_mates`] is the sequential shorthand),
+//! [`refine_search_space_csr`], [`optimize_order`] and
+//! [`search_indexed`]. The kernels read the data graph's adjacency only
+//! through the [`GraphIndex`]'s CSR snapshot. The seed's `Value`-typed
+//! kernels are kept as equivalence oracles outside the library, in
+//! `tests/support`; `search_indexed(.., None, ..)` is the index-less
+//! oracle form of the search.
+//!
 //! ```
 //! use gql_core::fixtures::{figure_4_16_graph, figure_4_16_pattern};
 //! use gql_match::{match_pattern, GraphIndex, MatchOptions, Pattern};
@@ -43,8 +57,7 @@ pub mod snapshot;
 pub use expr::{BinOp, EvalCtx, EvalResult, Expr};
 pub use feasible::{
     estimated_access, estimated_mates, feasible_mates, feasible_mates_access_par,
-    feasible_mates_par, feasible_mates_reference, feasible_mates_stats_par,
-    feasible_mates_stats_per_node, reduction_ratio, search_space_ln, AccessPath, LocalPruning,
+    feasible_mates_stats_par, reduction_ratio, search_space_ln, AccessPath, LocalPruning,
     RetrieveAccess, RetrieveStats,
 };
 pub use index::{GraphIndex, IndexOptions, IndexParts};
@@ -55,13 +68,8 @@ pub use order::{cost_of_order, estimate_join_sizes, optimize_order, GammaMode, S
 pub use pattern::Pattern;
 pub use plan::{
     decide_refine_level, diverges, options_fingerprint, pattern_shape, plan_key, CompiledPlan,
-    Planner, REFINE_SKIP_YIELD,
+    Planner, REFINE_SKIP_YIELD, REPLAN_DIVERGENCE,
 };
-pub use refine::{
-    estimated_refine_cost, refine_search_space, refine_search_space_csr, refine_search_space_par,
-    refine_search_space_reference, refine_search_space_traced, RefineStats,
-};
-pub use search::{
-    search, search_indexed, search_indexed_with_checks, EdgeChecks, SearchConfig, SearchOutcome,
-};
+pub use refine::{estimated_refine_cost, refine_search_space_csr, RefineStats};
+pub use search::{search_indexed, EdgeChecks, SearchConfig, SearchOutcome};
 pub use snapshot::GraphSnapshot;

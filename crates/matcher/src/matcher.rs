@@ -3,14 +3,13 @@
 //! with per-step instrumentation for the §5 experiments.
 
 use crate::feasible::{
-    estimated_access, estimated_mates, feasible_mates_access_par, feasible_mates_par,
-    feasible_mates_stats_per_node, search_space_ln, AccessPath, LocalPruning, RetrieveAccess,
-    RetrieveStats,
+    estimated_access, estimated_mates, feasible_mates_access_par, feasible_mates_stats_per_node,
+    search_space_ln, AccessPath, LocalPruning, RetrieveAccess, RetrieveStats,
 };
 use crate::index::GraphIndex;
 use crate::order::{estimate_join_sizes, optimize_order, GammaMode, SearchOrder};
 use crate::pattern::Pattern;
-use crate::plan::{decide_refine_level, plan_key, CompiledPlan, Planner};
+use crate::plan::{decide_refine_level, diverges, plan_key, CompiledPlan, Planner};
 use crate::refine::{estimated_refine_cost, refine_search_space_traced, RefineStats};
 use crate::search::{search_indexed_with_checks, EdgeChecks, SearchConfig, SearchOutcome};
 use gql_core::plan::ShapeFeedback;
@@ -86,19 +85,6 @@ pub struct MatchOptions {
     /// cardinalities, pruning ratios, and timings. `false` (the
     /// default) leaves [`MatchReport::explain`] as `None` at zero cost.
     pub explain: bool,
-    /// Whether *index builders* driven by these options (the engine's
-    /// collection index cache, the CLI's per-graph build) attach the
-    /// [`gql_core::CsrGraph`] snapshot. [`match_pattern`] itself only
-    /// reads whatever the index carries; with `false` (the `--no-csr`
-    /// escape hatch) every phase falls back to the `Vec`-adjacency
-    /// kernels with identical results.
-    pub csr: bool,
-    /// Whether *index builders* driven by these options build the sorted
-    /// secondary property index. [`match_pattern`] itself only reads
-    /// whatever the index carries; with `false` (the `--no-prop-index`
-    /// escape hatch) retrieval evaluates every attribute predicate by
-    /// scanning the label bucket, with identical results.
-    pub prop_index: bool,
     /// Shared planner: when set, compiled plans (search order, γ
     /// estimates, per-edge checks, refinement decision) are cached
     /// across calls and execution feedback is recorded for later
@@ -111,18 +97,6 @@ pub struct MatchOptions {
     /// graphs concurrently; distinct scopes keep their plans and
     /// statistics (which differ per graph) disjoint and deterministic.
     pub plan_graph: u64,
-    /// Whether a cached plan whose candidate-size expectations diverged
-    /// beyond [`MatchOptions::divergence_factor`] is *re-planned* — the
-    /// entry is replaced with one compiled from the observed sizes and
-    /// `planner.replans` is counted. With `false` the stale entry is
-    /// kept (the fresh order is still used for the current run — reuse
-    /// is validation-gated regardless, so this knob never affects
-    /// results, only whether the cache adapts).
-    pub adaptive: bool,
-    /// A cached plan's expected candidate size is considered diverged
-    /// when it is off from the observed size by more than this factor
-    /// in either direction.
-    pub divergence_factor: f64,
 }
 
 impl Default for MatchOptions {
@@ -140,12 +114,8 @@ impl Default for MatchOptions {
             obs: None,
             trace: None,
             explain: false,
-            csr: true,
-            prop_index: true,
             planner: None,
             plan_graph: 0,
-            adaptive: true,
-            divergence_factor: 4.0,
         }
     }
 }
@@ -228,8 +198,9 @@ pub struct PlanInfo {
     /// The compiled plan came from the cache (and its candidate-size
     /// expectations were validated against this run's actuals).
     pub cache_hit: bool,
-    /// A cached plan's expectations diverged beyond the configured
-    /// factor and the entry was re-planned from the observed sizes.
+    /// A cached plan's expectations diverged beyond
+    /// [`crate::plan::REPLAN_DIVERGENCE`] and the entry was re-planned
+    /// from the observed sizes.
     pub replanned: bool,
     /// The cost-based [`RefineLevel::Auto`] decision skipped refinement.
     pub refine_skipped: bool,
@@ -329,13 +300,16 @@ pub fn match_pattern(
     report.spaces.baseline_ln = if opts.pruning == LocalPruning::NodeAttributes {
         report.spaces.local_ln
     } else if opts.report_baseline_space {
-        search_space_ln(&feasible_mates_par(
-            pattern,
-            g,
-            index,
-            LocalPruning::NodeAttributes,
-            opts.threads,
-        ))
+        search_space_ln(
+            &feasible_mates_access_par(
+                pattern,
+                g,
+                index,
+                LocalPruning::NodeAttributes,
+                opts.threads,
+            )
+            .0,
+        )
     } else {
         f64::NAN
     };
@@ -454,16 +428,10 @@ pub fn match_pattern(
         Some(plan) => {
             // Estimate divergence detected mid-pipeline: the candidate
             // sizes this plan was compiled for no longer hold. Beyond
-            // the configured factor (and with adaptivity on) the entry
-            // is re-planned below; either way this run uses an order
-            // computed from the actuals.
-            if opts.adaptive
-                && crate::plan::diverges(
-                    &plan.refined_sizes,
-                    &refined_sizes,
-                    opts.divergence_factor,
-                )
-            {
+            // the divergence factor the entry is re-planned below;
+            // either way this run uses an order computed from the
+            // actuals.
+            if diverges(&plan.refined_sizes, &refined_sizes) {
                 replanned = true;
                 if let Some(obs) = &opts.obs {
                     obs.add("planner.replans", 1);

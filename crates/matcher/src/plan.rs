@@ -352,7 +352,6 @@ pub fn options_fingerprint(opts: &MatchOptions) -> u64 {
         RefineLevel::QuerySize => h.write_u8(2),
         RefineLevel::Auto => h.write_u8(3),
     }
-    h.write_u8(u8::from(opts.prop_index));
     h.finish()
 }
 
@@ -389,18 +388,23 @@ pub fn plan_key(pattern: &Pattern, opts: &MatchOptions, generation: u64) -> Plan
     }
 }
 
+/// A cached plan whose expected candidate size is off from the observed
+/// one by more than this factor, in either direction, is re-planned from
+/// the observed sizes.
+pub const REPLAN_DIVERGENCE: f64 = 4.0;
+
 /// True when any observed candidate size is off from the plan's stored
-/// expectation by more than `factor` in either direction (sizes clamped
-/// to 1 so empty sets compare sanely). Also true on a length mismatch,
-/// which would mean the key collided across different motifs — treat as
-/// maximally diverged rather than trusting the plan.
-pub fn diverges(expected: &[u32], observed: &[u32], factor: f64) -> bool {
+/// expectation by more than [`REPLAN_DIVERGENCE`] in either direction
+/// (sizes clamped to 1 so empty sets compare sanely). Also true on a
+/// length mismatch, which would mean the key collided across different
+/// motifs — treat as maximally diverged rather than trusting the plan.
+pub fn diverges(expected: &[u32], observed: &[u32]) -> bool {
     if expected.len() != observed.len() {
         return true;
     }
     expected.iter().zip(observed).any(|(&e, &o)| {
         let (e, o) = (f64::from(e.max(1)), f64::from(o.max(1)));
-        e / o > factor || o / e > factor
+        e / o > REPLAN_DIVERGENCE || o / e > REPLAN_DIVERGENCE
     })
 }
 
@@ -603,6 +607,17 @@ mod tests {
             decide_refine_level(5, RefineLevel::Off, Some(&fb_high)),
             (0, false)
         );
+    }
+
+    #[test]
+    fn divergence_is_two_sided_and_clamped() {
+        assert!(!diverges(&[4, 8], &[4, 8]));
+        assert!(!diverges(&[4], &[16]), "exactly the factor is tolerated");
+        assert!(diverges(&[4], &[17]));
+        assert!(diverges(&[17], &[4]));
+        assert!(!diverges(&[0], &[4]), "empty sets compare as size 1");
+        assert!(diverges(&[0], &[5]));
+        assert!(diverges(&[1, 1], &[1]), "length mismatch never trusts");
     }
 
     #[test]

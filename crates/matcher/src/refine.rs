@@ -16,7 +16,7 @@
 //!
 //! # Fast-path data layout
 //!
-//! The production kernel ([`refine_search_space`]) keeps `Φ` as one
+//! The kernel ([`refine_search_space_csr`]) keeps `Φ` as one
 //! dense **bitset per pattern node** (`Vec<u64>` over data-node ids), so
 //! the inner `v' ∈ Φ(u')` probe of the bipartite build is a single
 //! shift-and-mask. The mark table is a flat `Vec<bool>` over
@@ -26,13 +26,12 @@
 //! per pair. Within a level every check reads only the level-(l−1)
 //! bitsets, so the per-level worklist can fan out across
 //! `gql_core::par` workers while keeping the output byte-identical at
-//! any thread count. [`refine_search_space_reference`] retains the
-//! seed's hashtable kernel as the equivalence oracle.
+//! any thread count. The seed's hashtable kernel lives on as the
+//! equivalence oracle in `tests/support`.
 //!
-//! With a [`CsrGraph`] snapshot ([`refine_search_space_csr`]) the
-//! data-side neighbor scans — the bipartite right side and the re-mark
-//! fan-out — walk one contiguous CSR row instead of chasing the
-//! `Vec<Vec<…>>` adjacency. Better: rows are label-sorted, and when all
+//! The data-side neighbor scans — the bipartite right side and the
+//! re-mark fan-out — walk contiguous [`CsrGraph`] rows. Better: rows
+//! are label-sorted, and when all
 //! candidates of a pattern node share one interned label (the common
 //! case — labeled pattern nodes only admit same-label mates), the scan
 //! narrows to that label's sub-row; every skipped neighbor would have
@@ -46,77 +45,8 @@
 
 use crate::bipartite::{Bipartite, MatchingScratch};
 use crate::pattern::Pattern;
-use gql_core::{ArgValue, CsrGraph, EdgeId, Graph, NodeId, TraceSink};
-use rustc_hash::{FxHashMap, FxHashSet};
+use gql_core::{ArgValue, CsrEntry, CsrGraph, Graph, NodeId, TraceSink};
 use std::time::Instant;
-
-/// The data graph's adjacency as seen by the refinement kernels: either
-/// the mutable-graph `Vec` adjacency or the flat CSR snapshot. Only
-/// incident *neighbor ids* are consumed, which both layouts provide for
-/// the same node set — so the kernel's verdicts are identical.
-///
-/// The CSR variant additionally carries one `Option<u32>` per pattern
-/// node: `Some(l)` when every current candidate of that pattern node
-/// carries interned label `l` (`IMPOSSIBLE_LABEL` when it has none).
-/// Since `feasible[pu]` only shrinks, any neighbor scan that feeds a
-/// `feasible[pu]` membership probe may then walk just the label-`l`
-/// sub-row — every skipped entry would have failed the probe anyway.
-#[derive(Clone, Copy)]
-enum DataAdj<'a> {
-    Vec(&'a Graph),
-    Csr(&'a CsrGraph, &'a [Option<u32>]),
-}
-
-impl DataAdj<'_> {
-    #[inline]
-    fn for_each_incident(&self, v: u32, mut f: impl FnMut(u32)) {
-        match self {
-            DataAdj::Vec(g) => {
-                for (w, _) in g.incident(NodeId(v)) {
-                    f(w.0);
-                }
-            }
-            DataAdj::Csr(c, _) => {
-                for e in c.incident(NodeId(v)) {
-                    f(e.node);
-                }
-            }
-        }
-    }
-
-    /// Distinct incident neighbors of `v` that could be feasible mates
-    /// of pattern node `pu` — the full incident set for the `Vec`
-    /// layout, the label-filtered sub-row for CSR when `pu`'s candidate
-    /// label is known. Callers always follow with a `feasible[pu]`
-    /// membership probe, so over-approximating (Vec, unknown label) is
-    /// fine and under-approximating never happens.
-    #[inline]
-    fn for_each_candidate(&self, v: u32, pu: usize, mut f: impl FnMut(u32)) {
-        match self {
-            DataAdj::Vec(g) => {
-                for (w, _) in g.incident(NodeId(v)) {
-                    f(w.0);
-                }
-            }
-            DataAdj::Csr(c, labels) => {
-                let row = match labels[pu] {
-                    Some(l) => c.incident_with_label(NodeId(v), l),
-                    None => c.incident(NodeId(v)),
-                };
-                // Directed rows can list a node twice (in + out edge);
-                // duplicates are adjacent in the (label, node)-sorted
-                // row.
-                let mut prev = u32::MAX;
-                for e in row {
-                    if e.node != prev {
-                        prev = e.node;
-                        f(e.node);
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Counters reported by a refinement run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -162,6 +92,27 @@ impl BitSet {
     }
 }
 
+/// The incident row of data node `v` that can hold feasible mates of
+/// pattern node `pu`. `labels[pu]` is `Some(l)` when every current
+/// candidate of `pu` carries interned label `l`; since `feasible[pu]`
+/// only shrinks, a scan feeding a `feasible[pu]` membership probe may
+/// then walk just the label-`l` sub-row — every skipped entry would
+/// have failed the probe anyway. Directed rows can list a node twice
+/// (in + out edge); duplicates are adjacent in the (label, node)-sorted
+/// row.
+#[inline]
+fn candidate_row<'a>(
+    csr: &'a CsrGraph,
+    labels: &[Option<u32>],
+    v: u32,
+    pu: usize,
+) -> &'a [CsrEntry] {
+    match labels[pu] {
+        Some(l) => csr.incident_with_label(NodeId(v), l),
+        None => csr.incident(NodeId(v)),
+    }
+}
+
 /// Per-worker reusable buffers: the bipartite graph `B(u,v)`, the
 /// Hopcroft–Karp state, and the dense neighbor-position table used to
 /// deduplicate `N(v)` without a hash map.
@@ -173,8 +124,8 @@ struct RefineScratch {
     right_pos: Vec<u32>,
     /// Distinct neighbors of the current `v`, in first-seen order.
     right_nodes: Vec<u32>,
-    /// `(left, right)` edge buffer for the CSR build, which discovers
-    /// the right-side size only after scanning the label sub-rows.
+    /// `(left, right)` edge buffer: the right-side size is known only
+    /// after scanning the label sub-rows.
     edges: Vec<(u32, u32)>,
 }
 
@@ -191,60 +142,15 @@ impl RefineScratch {
 
     /// Does `B(u,v)` lack a semi-perfect matching against the
     /// level-(l−1) space in `feasible`? (True ⇒ remove the pair.)
-    fn pair_fails(
-        &mut self,
-        pattern: &Pattern,
-        adj: DataAdj<'_>,
-        feasible: &[BitSet],
-        u: u32,
-        v: u32,
-    ) -> bool {
-        let (csr, labels) = match adj {
-            DataAdj::Vec(_) => {
-                let np = pattern.incident(NodeId(u));
-                self.right_nodes.clear();
-                // Collect the distinct data-side neighbors of v
-                // (directed graphs can report a node as both in- and
-                // out-neighbor)…
-                adj.for_each_incident(v, |w| {
-                    let slot = &mut self.right_pos[w as usize];
-                    if *slot == u32::MAX {
-                        *slot = self.right_nodes.len() as u32;
-                        self.right_nodes.push(w);
-                    }
-                });
-                // …then build B(u,v) (Algorithm 4.2 lines 5–9) in the
-                // reusable buffers — a bit probe per (u', v') pair, no
-                // allocation.
-                self.bip.clear(np.len(), self.right_nodes.len());
-                for (li, &(pu, _)) in np.iter().enumerate() {
-                    let fs = &feasible[pu.index()];
-                    for (ri, &gw) in self.right_nodes.iter().enumerate() {
-                        if fs.contains(gw) {
-                            self.bip.add_edge(li, ri);
-                        }
-                    }
-                }
-                for &gw in &self.right_nodes {
-                    self.right_pos[gw as usize] = u32::MAX;
-                }
-                return !self.bip.has_semi_perfect_matching_with(&mut self.matching);
-            }
-            DataAdj::Csr(c, labels) => (c, labels),
-        };
-        self.pair_fails_csr(pattern, csr, labels, feasible, u, v)
-    }
-
-    /// [`RefineScratch::pair_fails`] over label sub-rows of the CSR
-    /// snapshot. Per left vertex, only the sub-row that can contain its
+    ///
+    /// Per left vertex, only the CSR sub-row that can contain its
     /// feasible mates is scanned, and the per-left structure admits two
-    /// verdict-identical short-circuits the collect-then-probe build
-    /// cannot express: a left vertex with no feasible mate fails the
-    /// pair outright (no saturating matching can exist), and a single
-    /// left vertex is saturated by its first feasible mate (no matching
-    /// run needed). Neither changes the verdict, and [`RefineStats`]
-    /// counts pairs, not probes, so the statistics stay byte-identical.
-    fn pair_fails_csr(
+    /// verdict-preserving short-circuits: a left vertex with no
+    /// feasible mate fails the pair outright (no saturating matching
+    /// can exist), and a single left vertex is saturated by its first
+    /// feasible mate (no matching run needed). [`RefineStats`] counts
+    /// pairs, not probes, so the statistics are unaffected.
+    fn pair_fails(
         &mut self,
         pattern: &Pattern,
         csr: &CsrGraph,
@@ -254,10 +160,7 @@ impl RefineScratch {
         v: u32,
     ) -> bool {
         let np = pattern.incident(NodeId(u));
-        let row = |pu: usize| match labels[pu] {
-            Some(l) => csr.incident_with_label(NodeId(v), l),
-            None => csr.incident(NodeId(v)),
-        };
+        let row = |pu: usize| candidate_row(csr, labels, v, pu);
         // Single left vertex: semi-perfect ⇔ any feasible mate exists
         // (duplicates in a full directed row don't matter to `any`).
         if let [(pu, _)] = np {
@@ -277,8 +180,7 @@ impl RefineScratch {
                 prev = e.node;
                 // Right vertices are assigned indices lazily on the
                 // first feasible sighting; rights without edges cannot
-                // affect a semi-perfect matching, so B(u,v) keeps the
-                // same verdict as the full-scan build.
+                // affect a semi-perfect matching.
                 let slot = &mut self.right_pos[e.node as usize];
                 if *slot == u32::MAX {
                     *slot = self.right_nodes.len() as u32;
@@ -323,39 +225,16 @@ impl RefineScratch {
     }
 }
 
-/// Runs Algorithm 4.2: refines `mates` in place for up to `level`
-/// synchronous iterations, returning statistics.
-pub fn refine_search_space(
-    pattern: &Pattern,
-    g: &Graph,
-    mates: &mut [Vec<NodeId>],
-    level: usize,
-) -> RefineStats {
-    refine_search_space_par(pattern, g, mates, level, 1)
-}
-
-/// [`refine_search_space`] with each level's worklist spread across
-/// `threads` workers (`0` = available cores). Levels stay synchronous —
-/// every check reads the level-(l−1) space — so the refined space and
-/// all statistics are identical for every thread count.
-pub fn refine_search_space_par(
-    pattern: &Pattern,
-    g: &Graph,
-    mates: &mut [Vec<NodeId>],
-    level: usize,
-    threads: usize,
-) -> RefineStats {
-    refine_search_space_csr(pattern, g, None, mates, level, threads)
-}
-
-/// [`refine_search_space_par`] with an optional [`CsrGraph`] snapshot of
-/// `g`: when present, data-side neighbor scans run over contiguous CSR
-/// rows (see the module docs). The refined space and every statistic
-/// are identical with or without the snapshot, at any thread count.
+/// Runs Algorithm 4.2 over `csr`, the snapshot of `g`'s adjacency:
+/// refines `mates` in place for up to `level` synchronous iterations,
+/// returning statistics. Each level's worklist is spread across
+/// `threads` workers (`0` = available cores, `1` = sequential); every
+/// check reads the level-(l−1) space, so the refined space and all
+/// statistics are identical for every thread count.
 pub fn refine_search_space_csr(
     pattern: &Pattern,
     g: &Graph,
-    csr: Option<&CsrGraph>,
+    csr: &CsrGraph,
     mates: &mut [Vec<NodeId>],
     level: usize,
     threads: usize,
@@ -365,47 +244,45 @@ pub fn refine_search_space_csr(
 
 /// [`refine_search_space_csr`] with an optional [`TraceSink`]: each
 /// performed level is recorded as a `refine.level[l]` complete event
-/// carrying its worklist size and removals. The refined space and every
-/// statistic are identical with or without the sink — tracing only reads
-/// what the level loop already computes.
-pub fn refine_search_space_traced(
+/// carrying its worklist size and removals. Tracing only reads what the
+/// level loop already computes.
+pub(crate) fn refine_search_space_traced(
     pattern: &Pattern,
     g: &Graph,
-    csr: Option<&CsrGraph>,
+    csr: &CsrGraph,
     mates: &mut [Vec<NodeId>],
     level: usize,
     threads: usize,
     trace: Option<&TraceSink>,
 ) -> RefineStats {
-    // Per pattern node: the one interned label all its current
-    // candidates share, if any (`IMPOSSIBLE_LABEL` for an empty
-    // candidate set — no data node carries it, so label sub-rows come
-    // back empty, exactly like probing an empty `feasible` set). Mixed
-    // labels fall back to full-row scans (`None`).
-    let candidate_label: Option<Vec<Option<u32>>> = csr.map(|c| {
-        debug_assert_eq!(c.node_count(), g.node_count(), "snapshot of another graph?");
-        mates
-            .iter()
-            .map(|m| match m.split_first() {
-                None => Some(gql_core::IMPOSSIBLE_LABEL),
-                Some((first, rest)) => {
-                    let l = c.node_label(*first);
-                    rest.iter().all(|v| c.node_label(*v) == l).then_some(l)
-                }
-            })
-            .collect()
-    });
-    let adj = match (csr, &candidate_label) {
-        (Some(c), Some(labels)) => DataAdj::Csr(c, labels),
-        _ => DataAdj::Vec(g),
-    };
+    debug_assert_eq!(
+        csr.node_count(),
+        g.node_count(),
+        "snapshot of another graph?"
+    );
     let k = pattern.node_count();
     debug_assert_eq!(k, mates.len());
     let mut stats = RefineStats::default();
     if k == 0 || level == 0 {
         return stats;
     }
-    let n = g.node_count();
+    // Per pattern node: the one interned label all its current
+    // candidates share, if any (`IMPOSSIBLE_LABEL` for an empty
+    // candidate set — no data node carries it, so label sub-rows come
+    // back empty, exactly like probing an empty `feasible` set). Mixed
+    // labels fall back to full-row scans (`None`).
+    let labels: Vec<Option<u32>> = mates
+        .iter()
+        .map(|m| match m.split_first() {
+            None => Some(gql_core::IMPOSSIBLE_LABEL),
+            Some((first, rest)) => {
+                let l = csr.node_label(*first);
+                rest.iter().all(|v| csr.node_label(*v) == l).then_some(l)
+            }
+        })
+        .collect();
+    let labels = labels.as_slice();
+    let n = csr.node_count();
 
     // Φ as one dense bitset per pattern node: O(1) membership probes
     // for the bipartite builds, O(k·n/64) words total.
@@ -454,10 +331,10 @@ pub fn refine_search_space_traced(
             worklist
                 .iter()
                 .copied()
-                .filter(|&(u, v)| scratch.pair_fails(pattern, adj, &feasible, u, v))
+                .filter(|&(u, v)| scratch.pair_fails(pattern, csr, labels, &feasible, u, v))
                 .collect()
         } else {
-            check_level_parallel(pattern, adj, &feasible, &worklist, workers, n)
+            check_level_parallel(pattern, csr, labels, &feasible, &worklist, workers)
         };
         stats.removed_per_level.push(removals.len() as u64);
         if let (Some(sink), Some(start)) = (trace, level_start) {
@@ -483,13 +360,14 @@ pub fn refine_search_space_traced(
         worklist.clear();
         for &(u, v) in &removals {
             for &(pu, _) in pattern.incident(NodeId(u)) {
-                adj.for_each_candidate(v, pu.index(), |gw| {
-                    let slot = pu.index() * n + gw as usize;
-                    if feasible[pu.index()].contains(gw) && !marked[slot] {
+                for e in candidate_row(csr, labels, v, pu.index()) {
+                    // The mark table dedupes repeated row entries.
+                    let slot = pu.index() * n + e.node as usize;
+                    if feasible[pu.index()].contains(e.node) && !marked[slot] {
                         marked[slot] = true;
-                        worklist.push((pu.0, gw));
+                        worklist.push((pu.0, e.node));
                     }
-                });
+                }
             }
         }
     }
@@ -507,11 +385,11 @@ pub fn refine_search_space_traced(
 /// one.
 fn check_level_parallel(
     pattern: &Pattern,
-    adj: DataAdj<'_>,
+    csr: &CsrGraph,
+    labels: &[Option<u32>],
     feasible: &[BitSet],
     worklist: &[(u32, u32)],
     workers: usize,
-    n: usize,
 ) -> Vec<(u32, u32)> {
     let workers = workers.min(worklist.len());
     let chunk = worklist.len().div_ceil(workers);
@@ -524,11 +402,11 @@ fn check_level_parallel(
                 let hi = ((w + 1) * chunk).min(worklist.len());
                 let slice = &worklist[lo..hi];
                 s.spawn(move || {
-                    let mut scratch = RefineScratch::new(n);
+                    let mut scratch = RefineScratch::new(csr.node_count());
                     slice
                         .iter()
                         .copied()
-                        .filter(|&(u, v)| scratch.pair_fails(pattern, adj, feasible, u, v))
+                        .filter(|&(u, v)| scratch.pair_fails(pattern, csr, labels, feasible, u, v))
                         .collect::<Vec<_>>()
                 })
             })
@@ -551,98 +429,6 @@ fn check_level_parallel(
 pub fn estimated_refine_cost(mates: &[Vec<NodeId>], level: usize) -> f64 {
     let pairs: u64 = mates.iter().map(|m| m.len() as u64).sum();
     pairs as f64 * level as f64
-}
-
-/// Reference (oracle) implementation: the seed's `FxHashMap`/`FxHashSet`
-/// kernel, kept verbatim so the bitset fast path can be checked for
-/// observable equivalence ([`RefineStats`] included).
-pub fn refine_search_space_reference(
-    pattern: &Pattern,
-    g: &Graph,
-    mates: &mut [Vec<NodeId>],
-    level: usize,
-) -> RefineStats {
-    /// Incident data-graph neighbors regardless of direction.
-    fn data_neighbors(g: &Graph, v: NodeId) -> Vec<(NodeId, EdgeId)> {
-        g.incident(v).collect()
-    }
-
-    let k = pattern.node_count();
-    debug_assert_eq!(k, mates.len());
-    let mut stats = RefineStats::default();
-    if k == 0 || level == 0 {
-        return stats;
-    }
-
-    // Hashtable representation of Φ for O(1) membership (improvement 2).
-    let mut feasible: Vec<FxHashSet<u32>> = mates
-        .iter()
-        .map(|m| m.iter().map(|v| v.0).collect())
-        .collect();
-
-    // Mark every pair ⟨u, v⟩ (Algorithm 4.2, line 2).
-    let mut marked: FxHashSet<(u32, u32)> = FxHashSet::default();
-    for (u, m) in mates.iter().enumerate() {
-        for v in m {
-            marked.insert((u as u32, v.0));
-        }
-    }
-
-    for _ in 0..level {
-        if marked.is_empty() {
-            break; // line 19
-        }
-        stats.iterations += 1;
-        let worklist: Vec<(u32, u32)> = marked.drain().collect();
-        let mut removals: Vec<(u32, u32)> = Vec::new();
-        for (u, v) in worklist {
-            let np = pattern.incident(NodeId(u));
-            let ng = data_neighbors(g, NodeId(v));
-            // Build B(u,v) (lines 5–9) against the level-(i−1) space.
-            let mut right_ids: FxHashMap<u32, usize> = FxHashMap::default();
-            for (i, &(w, _)) in ng.iter().enumerate() {
-                right_ids.insert(w.0, i);
-            }
-            let mut b = Bipartite::new(np.len(), ng.len());
-            for (li, &(pu, _)) in np.iter().enumerate() {
-                for (&gw, &ri) in right_ids.iter() {
-                    if feasible[pu.index()].contains(&gw) {
-                        b.add_edge(li, ri);
-                    }
-                }
-            }
-            stats.bipartite_checks += 1;
-            if !b.has_semi_perfect_matching() {
-                removals.push((u, v)); // line 13, deferred to level end
-            }
-            // else: unmarked (lines 10–11) — pair was drained already.
-        }
-        stats.removed_per_level.push(removals.len() as u64);
-        if removals.is_empty() {
-            break; // space stable: further levels cannot change it
-        }
-        // Apply removals, then re-mark affected neighbor pairs
-        // (lines 14–15).
-        for &(u, v) in &removals {
-            feasible[u as usize].remove(&v);
-            stats.removed += 1;
-        }
-        for (u, v) in removals {
-            for &(pu, _) in pattern.incident(NodeId(u)) {
-                for (gw, _) in data_neighbors(g, NodeId(v)) {
-                    if feasible[pu.index()].contains(&gw.0) {
-                        marked.insert((pu.0, gw.0));
-                    }
-                }
-            }
-        }
-    }
-
-    // Write the reduced space back, preserving the original order.
-    for (u, m) in mates.iter_mut().enumerate() {
-        m.retain(|v| feasible[u].contains(&v.0));
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -672,13 +458,13 @@ mod tests {
 
         // Level 1 only: A2 and C1 go, B2 survives (synchronous levels).
         let mut lvl1 = mates.clone();
-        refine_search_space(&p, &g, &mut lvl1, 1);
+        refine_search_space_csr(&p, &g, idx.csr(), &mut lvl1, 1, 1);
         assert_eq!(names(&g, &lvl1[0]), ["A1"], "A2 removed at level 1");
         assert_eq!(names(&g, &lvl1[1]), ["B1", "B2"]);
         assert_eq!(names(&g, &lvl1[2]), ["C2"], "C1 removed at level 1");
 
         // Level 2 removes B2.
-        let stats = refine_search_space(&p, &g, &mut mates, 2);
+        let stats = refine_search_space_csr(&p, &g, idx.csr(), &mut mates, 2, 1);
         assert_eq!(names(&g, &mates[0]), ["A1"]);
         assert_eq!(names(&g, &mates[1]), ["B1"]);
         assert_eq!(names(&g, &mates[2]), ["C2"]);
@@ -695,7 +481,7 @@ mod tests {
         let p = Pattern::structural(labeled_clique(&["A", "B", "C"]));
         let idx = GraphIndex::build(&g);
         let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-        refine_search_space(&p, &g, &mut mates, 10);
+        refine_search_space_csr(&p, &g, idx.csr(), &mut mates, 10, 1);
         assert!(mates.iter().all(|m| m.len() == 1));
     }
 
@@ -707,7 +493,7 @@ mod tests {
         let p = Pattern::structural(labeled_clique(&["A", "B", "C"]));
         let idx = GraphIndex::build(&g);
         let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-        refine_search_space(&p, &g, &mut mates, 6);
+        refine_search_space_csr(&p, &g, idx.csr(), &mut mates, 6, 1);
         assert!(
             mates.iter().any(|m| m.is_empty()),
             "triangle must be refuted on a path: {mates:?}"
@@ -721,7 +507,7 @@ mod tests {
         let idx = GraphIndex::build(&g);
         let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
         let before = mates.clone();
-        let stats = refine_search_space(&p, &g, &mut mates, 0);
+        let stats = refine_search_space_csr(&p, &g, idx.csr(), &mut mates, 0, 1);
         assert_eq!(mates, before);
         assert_eq!(stats, RefineStats::default());
     }
@@ -732,7 +518,7 @@ mod tests {
         let p = Pattern::structural(labeled_clique(&["A", "B", "C"]));
         let idx = GraphIndex::build(&g);
         let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-        let stats = refine_search_space(&p, &g, &mut mates, 100);
+        let stats = refine_search_space_csr(&p, &g, idx.csr(), &mut mates, 100, 1);
         assert!(
             stats.iterations <= 2,
             "stable space should break out early, ran {}",
@@ -761,7 +547,7 @@ mod tests {
         let idx = GraphIndex::build(&data);
         let p = Pattern::structural(mk(false));
         let mut mates = feasible_mates(&p, &data, &idx, LocalPruning::NodeAttributes);
-        refine_search_space(&p, &data, &mut mates, 3);
+        refine_search_space_csr(&p, &data, idx.csr(), &mut mates, 3, 1);
         assert!(mates.iter().all(|m| m.len() == 1));
     }
 
@@ -787,49 +573,6 @@ mod tests {
                 stats.iterations,
                 "one event per level, threads={threads}"
             );
-        }
-    }
-
-    /// The bitset kernel and the seed's hashtable kernel agree on the
-    /// refined space *and* the statistics, at several thread counts.
-    #[test]
-    fn bitset_kernel_matches_reference() {
-        let cases: Vec<(Graph, Pattern)> = vec![
-            (
-                figure_4_16_graph().0,
-                Pattern::structural(figure_4_16_pattern()),
-            ),
-            (
-                labeled_clique(&["A", "B", "C", "D", "A"]),
-                Pattern::structural(labeled_clique(&["A", "B", "C"])),
-            ),
-            (
-                labeled_path(&["A", "B", "C", "A", "B", "C"]),
-                Pattern::structural(labeled_clique(&["A", "B", "C"])),
-            ),
-        ];
-        for (g, p) in &cases {
-            let idx = GraphIndex::build(g);
-            for level in [1, 2, 4, 8] {
-                let base = feasible_mates(p, g, &idx, LocalPruning::NodeAttributes);
-                let mut expect = base.clone();
-                let expect_stats = refine_search_space_reference(p, g, &mut expect, level);
-                for threads in [1, 2, 8] {
-                    let mut got = base.clone();
-                    let stats = refine_search_space_par(p, g, &mut got, level, threads);
-                    assert_eq!(got, expect, "level={level} threads={threads}");
-                    assert_eq!(stats, expect_stats, "level={level} threads={threads}");
-                    // The CSR row kernel must be observably identical too.
-                    let mut via_csr = base.clone();
-                    let csr_stats =
-                        refine_search_space_csr(p, g, idx.csr(), &mut via_csr, level, threads);
-                    assert_eq!(via_csr, expect, "csr level={level} threads={threads}");
-                    assert_eq!(
-                        csr_stats, expect_stats,
-                        "csr level={level} threads={threads}"
-                    );
-                }
-            }
         }
     }
 }

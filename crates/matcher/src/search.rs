@@ -56,11 +56,13 @@
 //!
 //! # CSR edge probes
 //!
-//! When the index carries a [`CsrGraph`] snapshot, `Check`'s data-edge
-//! lookups run as binary searches over the CSR's label-sorted rows
-//! instead of [`Graph::edge_between`] hash probes. The probe verdicts —
-//! and therefore every mapping, step, and backtrack count — are
-//! identical; only the memory access pattern changes. The candidate
+//! With an index, `Check`'s data-edge lookups run as binary searches
+//! over the [`CsrGraph`] snapshot's label-sorted rows instead of
+//! [`Graph::edge_between`] hash probes. The probe verdicts — and
+//! therefore every mapping, step, and backtrack count — are identical;
+//! only the memory access pattern changes. The index-less form
+//! (`search_indexed(.., None, ..)`) keeps the `Value`-typed `Check` as
+//! the oracle the equivalence tests compare against. The candidate
 //! enumeration itself is deliberately left untouched: pre-intersecting
 //! mate lists against CSR rows would change which candidates are
 //! *considered* (not which match), and the step/backtrack counters are
@@ -179,8 +181,8 @@ fn indexable_edge_probe(pred: &Expr, pe: EdgeId) -> Option<(&str, ProbeOp, &Valu
 /// The pattern-sized half of the per-edge plan: one [`EdgeCheck`] per
 /// pattern edge, plus the probe-derived allowed-edge id lists they point
 /// into. Owns no index data beyond those materialized lists, so a
-/// planner can cache it across searches and hand it back via
-/// [`search_indexed_with_checks`]; the checks stay valid as long as the
+/// planner can cache it across searches and hand it back to the search
+/// phase; the checks stay valid as long as the
 /// index (whose interner encoded the label ids and whose property index
 /// answered the probes) does.
 #[derive(Debug, Clone, Default)]
@@ -268,13 +270,15 @@ impl EdgeChecks {
     }
 }
 
-/// The per-edge checks plus the index's data-edge label-id table.
+/// The per-edge checks plus what they read from the index: the
+/// data-edge label-id table and the CSR snapshot `Check` probes.
 struct EdgePlan<'a> {
     checks: &'a [EdgeCheck],
     /// Probe-derived allowed-edge lists the checks' `allowed` slots
     /// point into (borrowed from the same [`EdgeChecks`]).
     allowed: &'a [Vec<u32>],
     data_edge_labels: &'a [u32],
+    csr: &'a CsrGraph,
 }
 
 impl EdgePlan<'_> {
@@ -303,11 +307,9 @@ struct Ctx<'a> {
     /// Root candidates explored at depth 0 (a sub-slice of
     /// `mates[order[0]]` under the parallel driver).
     roots: &'a [NodeId],
-    /// Interned edge-check plan (None without an index).
+    /// Interned edge-check plan and CSR snapshot (None without an
+    /// index: the `Value`-typed oracle form).
     plan: Option<&'a EdgePlan<'a>>,
-    /// CSR snapshot of `g` for binary-search edge probes (None without
-    /// an index or when the index was built with `csr: false`).
-    csr: Option<&'a CsrGraph>,
     /// Stop after this many mappings (checked after each push).
     take: usize,
     deadline: Option<Instant>,
@@ -365,22 +367,24 @@ fn check(
         } else {
             (v, mapped)
         };
-        // Same probe either way; the CSR variant is a binary search
-        // over `from`'s label-sorted row instead of a hash lookup.
-        let data_edge = match ctx.csr {
-            Some(csr) => csr.edge_between(from, to),
-            None => ctx.g.edge_between(from, to),
+        // Same verdict either way; the indexed probe is a binary search
+        // over `from`'s label-sorted CSR row instead of a hash lookup.
+        let bound = match ctx.plan {
+            Some(plan) => plan
+                .csr
+                .edge_between(from, to)
+                .filter(|&ge| plan.edge_ok(ctx.pattern, ctx.g, pe, ge)),
+            None => ctx
+                .g
+                .edge_between(from, to)
+                .filter(|&ge| ctx.pattern.edge_feasible(pe, ctx.g, ge)),
         };
-        let feasible = |ge| match ctx.plan {
-            Some(plan) => plan.edge_ok(ctx.pattern, ctx.g, pe, ge),
-            None => ctx.pattern.edge_feasible(pe, ctx.g, ge),
-        };
-        match data_edge {
-            Some(ge) if feasible(ge) => {
+        match bound {
+            Some(ge) => {
                 edge_bind[pe.index()] = Some(ge);
                 touched.push(pe.0);
             }
-            _ => return false,
+            None => return false,
         }
     }
     true
@@ -501,20 +505,12 @@ fn run_roots(ctx: &Ctx<'_>, scratch: &mut Scratch) -> (SearchOutcome, bool) {
 /// feasible mates and search order. With `cfg.threads != 1` the root
 /// candidates are partitioned across scoped workers; output is
 /// identical to the sequential run (see module docs).
-pub fn search(
-    pattern: &Pattern,
-    g: &Graph,
-    mates: &[Vec<NodeId>],
-    order: &[usize],
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    search_indexed(pattern, g, None, mates, order, cfg)
-}
-
-/// [`search`] with the data graph's index: pattern-edge `label`
-/// constraints are checked by a single interned-id compare before (or
-/// instead of) the `Value`-typed tuple machinery. `index` must have
-/// been built from `g`; the outcome is identical to [`search`]'s.
+///
+/// With the data graph's `index` (which must have been built from `g`),
+/// pattern-edge `label` constraints are checked by a single interned-id
+/// compare before (or instead of) the `Value`-typed tuple machinery and
+/// data edges are probed in the CSR snapshot. `None` runs the
+/// `Value`-typed oracle form; the outcome is identical.
 pub fn search_indexed(
     pattern: &Pattern,
     g: &Graph,
@@ -530,7 +526,7 @@ pub fn search_indexed(
 /// from a plan cache); `None` compiles them here. The checks must have
 /// been built for this `pattern` against this `index`'s dictionary —
 /// the outcome is identical either way, compilation is just skipped.
-pub fn search_indexed_with_checks(
+pub(crate) fn search_indexed_with_checks(
     pattern: &Pattern,
     g: &Graph,
     index: Option<&GraphIndex>,
@@ -560,9 +556,9 @@ pub fn search_indexed_with_checks(
             checks: &c.checks,
             allowed: &c.allowed,
             data_edge_labels: idx.edge_label_ids(),
+            csr: idx.csr(),
         })
     });
-    let csr = index.and_then(GraphIndex::csr);
 
     let roots: &[NodeId] = &mates[order[0]];
     // The sequential code stops once `mappings.len() >= cap` *after* a
@@ -579,7 +575,6 @@ pub fn search_indexed_with_checks(
             order,
             roots,
             plan: plan.as_ref(),
-            csr,
             take,
             deadline: cfg.deadline,
             stop: None,
@@ -598,7 +593,6 @@ pub fn search_indexed_with_checks(
         order,
         cfg,
         plan.as_ref(),
-        csr,
         roots,
         take,
         workers,
@@ -639,7 +633,6 @@ fn search_parallel(
     order: &[usize],
     cfg: &SearchConfig,
     plan: Option<&EdgePlan<'_>>,
-    csr: Option<&CsrGraph>,
     roots: &[NodeId],
     take: usize,
     workers: usize,
@@ -683,7 +676,6 @@ fn search_parallel(
                         order,
                         roots: &roots[lo..hi],
                         plan,
-                        csr,
                         take,
                         deadline: cfg.deadline,
                         stop: Some(&stop),
@@ -755,7 +747,7 @@ mod tests {
         let idx = GraphIndex::build(g);
         let mates = feasible_mates(pattern, g, &idx, LocalPruning::NodeAttributes);
         let order: Vec<usize> = (0..pattern.node_count()).collect();
-        search(pattern, g, &mates, &order, cfg)
+        search_indexed(pattern, g, Some(&idx), &mates, &order, cfg)
     }
 
     /// The edge-probe compiler actually fires for attr-op-literal edge
@@ -1015,7 +1007,7 @@ mod tests {
             deadline: Some(Instant::now()),
             ..SearchConfig::default()
         };
-        let out = search(&p, &g, &mates, &order, &cfg);
+        let out = search_indexed(&p, &g, Some(&idx), &mates, &order, &cfg);
         assert!(out.timed_out);
     }
 
@@ -1172,7 +1164,7 @@ mod tests {
                     threads,
                     ..SearchConfig::default()
                 };
-                let plain = search(p, &g, &mates, &order, &cfg);
+                let plain = search_indexed(p, &g, None, &mates, &order, &cfg);
                 let fast = search_indexed(p, &g, Some(&idx), &mates, &order, &cfg);
                 assert_eq!(fast.mappings, plain.mappings, "threads={threads}");
                 assert_eq!(fast.edge_bindings, plain.edge_bindings);
@@ -1225,7 +1217,7 @@ mod tests {
                 ..SearchConfig::default()
             };
             let started = Instant::now();
-            let out = search(&p, &g, &mates, &order, &cfg);
+            let out = search_indexed(&p, &g, Some(&idx), &mates, &order, &cfg);
             let elapsed = started.elapsed();
             assert!(out.timed_out, "threads={threads}");
             // Generous bound for slow CI machines; the pre-fix code blows
@@ -1250,7 +1242,7 @@ mod tests {
             threads: 4,
             ..SearchConfig::default()
         };
-        let out = search(&p, &g, &mates, &order, &cfg);
+        let out = search_indexed(&p, &g, Some(&idx), &mates, &order, &cfg);
         assert!(out.timed_out);
     }
 }

@@ -1,17 +1,26 @@
-//! CSR snapshot ↔ Vec-adjacency equivalence suite.
+//! CSR snapshot ↔ `Graph` adjacency equivalence suite.
 //!
-//! The CSR snapshot ([`gql_core::CsrGraph`]) is a pure access-method
-//! swap: every observable — adjacency rows, edge probes, BFS layers,
-//! neighborhood profiles, match results, and deterministic obs
-//! counters — must be byte-identical to the `Vec`-adjacency path at any
-//! thread count. These tests pin that contract on a zoo of fixtures:
-//! Erdős–Rényi, directed, clique-heavy, and mixed-label (some nodes
-//! unlabeled) graphs.
+//! The CSR snapshot ([`gql_core::CsrGraph`]) is the only adjacency the
+//! matcher kernels read; every observable it serves — adjacency rows,
+//! edge probes, BFS layers, neighborhood profiles — must be
+//! byte-identical to the `Graph` it was built from, and the retrieval
+//! and refinement kernels that run on it must agree with the
+//! `Graph`-reading reference kernels in `support`, at any thread count.
+//! These tests pin that contract on a zoo of fixtures: Erdős–Rényi,
+//! directed, clique-heavy, and mixed-label (some nodes unlabeled)
+//! graphs.
 
-use gql_core::{CsrGraph, Graph, LabelInterner, NodeId, Obs, Tuple, NO_LABEL};
+mod support;
+
+use gql_core::fixtures::{figure_4_16_graph, figure_4_16_pattern, labeled_path};
+use gql_core::{CsrGraph, Graph, LabelInterner, NodeId, Profile, Tuple, NO_LABEL};
 use gql_datagen::{erdos_renyi, subgraph_queries, ErConfig};
-use gql_match::{match_pattern, GraphIndex, IndexOptions, MatchOptions, Pattern};
+use gql_match::{
+    feasible_mates, feasible_mates_access_par, feasible_mates_stats_par, refine_search_space_csr,
+    GraphIndex, LocalPruning, Pattern,
+};
 use std::collections::VecDeque;
+use support::{feasible_mates_reference, refine_search_space_reference};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -241,35 +250,27 @@ fn bfs_distances_match() {
     }
 }
 
-/// Index profiles built from the CSR snapshot are byte-identical to the
-/// materializing `Profile::of_neighborhood` path, for both the interned
-/// and the `Value` form, at radius 1 and 2.
+/// Index profiles built from the CSR snapshot's BFS are byte-identical
+/// to the materializing `Profile::of_neighborhood` walk over the
+/// `Graph`, for both the interned and the `Value` form, at radius 1
+/// and 2.
 #[test]
-fn index_profiles_match_vec_path() {
+fn index_profiles_match_graph_path() {
     for (name, g) in fixtures() {
         for radius in [1, 2] {
             for threads in THREADS {
-                let opts = |csr| IndexOptions {
-                    radius,
-                    profiles: true,
-                    subgraphs: false,
-                    threads,
-                    csr,
-                    prop_index: true,
-                };
-                let with_csr = GraphIndex::build_with(&g, &opts(true));
-                let without = GraphIndex::build_with(&g, &opts(false));
-                assert!(with_csr.csr().is_some() && without.csr().is_none());
+                let index = GraphIndex::build_with_profiles_par(&g, radius, threads);
                 for v in g.node_ids() {
+                    let want = Profile::of_neighborhood(&g, v, radius);
                     assert_eq!(
-                        with_csr.id_profile(v),
-                        without.id_profile(v),
-                        "{name}/r{radius}/t{threads}: id profile of {v:?}"
+                        index.profile(v),
+                        &want,
+                        "{name}/r{radius}/t{threads}: profile of {v:?}"
                     );
                     assert_eq!(
-                        with_csr.profile(v),
-                        without.profile(v),
-                        "{name}/r{radius}/t{threads}: profile of {v:?}"
+                        Some(index.id_profile(v)),
+                        index.interner().encode_profile(&want).as_ref(),
+                        "{name}/r{radius}/t{threads}: id profile of {v:?}"
                     );
                 }
             }
@@ -297,71 +298,97 @@ fn queries_for(name: &str, g: &Graph) -> Vec<Graph> {
     }
 }
 
-/// End-to-end `match_pattern` identity: mappings, edge bindings, search
-/// order, step/backtrack counters, refinement stats, search-space
-/// accounting, and the full deterministic obs counter snapshot agree
-/// between CSR and `Vec`-adjacency indexes at threads 1, 2, and 8.
+const PRUNINGS: [LocalPruning; 4] = [
+    LocalPruning::NodeAttributes,
+    LocalPruning::Profiles { radius: 1 },
+    LocalPruning::Profiles { radius: 2 },
+    LocalPruning::Subgraphs { radius: 1 },
+];
+
+/// The un-instrumented kernel, the counting kernel, and the
+/// `Value`-typed reference agree on `Φ`, and the counters are exact and
+/// identical at every thread count.
+fn assert_retrieval_agrees(p: &Pattern, g: &Graph, index: &GraphIndex, tag: &str) {
+    let entering: u64 = feasible_mates(p, g, index, LocalPruning::NodeAttributes)
+        .iter()
+        .map(|m| m.len() as u64)
+        .sum();
+    for pruning in PRUNINGS {
+        let tag = format!("{tag} {pruning:?}");
+        let want = feasible_mates_reference(p, g, index, pruning);
+        let (_, want_stats) = feasible_mates_stats_par(p, g, index, pruning, 1);
+        assert_eq!(want_stats.candidates, entering, "{tag}: candidates");
+        assert_eq!(
+            want_stats.candidates,
+            want_stats.sig_rejected + want_stats.exact_rejected + want_stats.kept,
+            "{tag}: counters add up: {want_stats:?}"
+        );
+        assert_eq!(
+            want_stats.kept,
+            want.iter().map(|m| m.len() as u64).sum::<u64>(),
+            "{tag}: kept"
+        );
+        for threads in THREADS {
+            let (plain, access) = feasible_mates_access_par(p, g, index, pruning, threads);
+            let (counted, stats) = feasible_mates_stats_par(p, g, index, pruning, threads);
+            assert_eq!(plain, want, "{tag} t={threads}: access_par vs reference");
+            assert_eq!(counted, want, "{tag} t={threads}: stats_par vs reference");
+            assert_eq!(stats, want_stats, "{tag} t={threads}: stats");
+            assert_eq!(access.len(), p.node_count(), "{tag} t={threads}");
+        }
+    }
+}
+
+/// `feasible_mates_access_par` ≡ `feasible_mates_stats_par` ≡ the
+/// relocated reference over the fixture zoo, with and without
+/// precomputed profiles (the latter takes the on-the-fly pruning arms).
 #[test]
-fn end_to_end_match_results_identical() {
+fn retrieval_kernels_agree_with_reference() {
     for (name, g) in fixtures() {
+        let with_profiles = GraphIndex::build_with_profiles(&g, 1);
+        let plain = GraphIndex::build(&g);
         for (qi, q) in queries_for(name, &g).into_iter().enumerate() {
             let p = Pattern::structural(q);
-            let run = |csr: bool, threads: usize| {
-                let index = GraphIndex::build_with(
-                    &g,
-                    &IndexOptions {
-                        radius: 1,
-                        profiles: true,
-                        subgraphs: false,
-                        threads,
-                        csr,
-                        prop_index: true,
-                    },
-                );
-                let obs = Obs::new();
-                let opts = MatchOptions {
-                    threads,
-                    csr,
-                    obs: Some(obs.clone()),
-                    ..MatchOptions::optimized()
-                };
-                let rep = match_pattern(&p, &g, &index, &opts);
-                (rep, obs.report())
-            };
-            let (want, want_obs) = run(false, 1);
-            for threads in THREADS {
-                for csr in [true, false] {
-                    let (got, got_obs) = run(csr, threads);
-                    let tag = format!("{name} q{qi} csr={csr} t={threads}");
-                    assert_eq!(got.mappings, want.mappings, "{tag}: mappings");
-                    assert_eq!(got.edge_bindings, want.edge_bindings, "{tag}: edges");
-                    assert_eq!(got.order, want.order, "{tag}: search order");
-                    assert_eq!(got.search_steps, want.search_steps, "{tag}: steps");
-                    assert_eq!(
-                        got.search_backtracks, want.search_backtracks,
-                        "{tag}: backtracks"
-                    );
-                    assert_eq!(got.refine_stats, want.refine_stats, "{tag}: refine");
-                    assert_eq!(
-                        got.spaces.baseline_ln.to_bits(),
-                        want.spaces.baseline_ln.to_bits(),
-                        "{tag}: baseline space"
-                    );
-                    assert_eq!(
-                        got.spaces.local_ln.to_bits(),
-                        want.spaces.local_ln.to_bits(),
-                        "{tag}: local space"
-                    );
-                    assert_eq!(
-                        got.spaces.refined_ln.to_bits(),
-                        want.spaces.refined_ln.to_bits(),
-                        "{tag}: refined space"
-                    );
-                    assert_eq!(got_obs.counters, want_obs.counters, "{tag}: obs counters");
-                    assert!(
-                        !got.mappings.is_empty() || name == "directed",
-                        "{tag}: matches"
-                    );
+            assert_retrieval_agrees(&p, &g, &with_profiles, &format!("{name} q{qi} profiles"));
+            assert_retrieval_agrees(&p, &g, &plain, &format!("{name} q{qi} plain"));
+        }
+    }
+    // Materialized neighborhoods take the precomputed-subgraph arm.
+    let (g, _) = figure_4_16_graph();
+    let full = GraphIndex::build_full(&g, 1);
+    let p = Pattern::structural(figure_4_16_pattern());
+    assert_retrieval_agrees(&p, &g, &full, "figure 4.16 full");
+    // A pattern label absent from the data graph makes the pattern
+    // profile unencodable: the space empties and the whole base is
+    // charged to the signature screen.
+    let zp = Pattern::structural(labeled_path(&["A", "Z"]));
+    assert_retrieval_agrees(&zp, &g, &full, "unknown label");
+    let pruning = LocalPruning::Profiles { radius: 1 };
+    let (zm, zs) = feasible_mates_stats_par(&zp, &g, &full, pruning, 1);
+    assert!(zm.iter().all(|m| m.is_empty()));
+    assert_eq!(zs.candidates, zs.sig_rejected);
+}
+
+/// The CSR-row bitset kernel and the seed's hashtable kernel over the
+/// `Graph` adjacency agree on the refined space *and* the statistics,
+/// at several levels and thread counts.
+#[test]
+fn refine_kernel_matches_reference() {
+    for (name, g) in fixtures() {
+        let index = GraphIndex::build(&g);
+        for (qi, q) in queries_for(name, &g).into_iter().enumerate() {
+            let p = Pattern::structural(q);
+            let base = feasible_mates(&p, &g, &index, LocalPruning::NodeAttributes);
+            for level in [1, 2, 4, 8] {
+                let mut want = base.clone();
+                let want_stats = refine_search_space_reference(&p, &g, &mut want, level);
+                for threads in THREADS {
+                    let mut got = base.clone();
+                    let stats =
+                        refine_search_space_csr(&p, &g, index.csr(), &mut got, level, threads);
+                    let tag = format!("{name} q{qi} level={level} t={threads}");
+                    assert_eq!(got, want, "{tag}: refined space");
+                    assert_eq!(stats, want_stats, "{tag}: stats");
                 }
             }
         }

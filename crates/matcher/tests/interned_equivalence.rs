@@ -4,19 +4,23 @@
 //! signature-carrying id-profiles, and dense bitsets. This suite pins
 //! their *observable equivalence* to the seed implementations, which are
 //! kept alive as oracles: [`feasible_mates_reference`] (per-candidate
-//! `Value` profiles), [`refine_search_space_reference`] (hashtable
-//! kernel), and plain [`search`] (no edge-check plan). Every fixture is
+//! `Value` profiles) and [`refine_search_space_reference`] (hashtable
+//! kernel) in `support`, and the index-less [`search_indexed`] (no
+//! edge-check plan, `Graph` edge probes). Every fixture is
 //! run through both pipelines at threads 1/2/8 and compared on
 //! mappings, edge bindings, search-space sizes, [`RefineStats`]
 //! (including `removed` and `bipartite_checks`), and `search_steps`.
+
+mod support;
 
 use gql_core::fixtures::{figure_4_16_graph, figure_4_16_pattern, labeled_clique, labeled_path};
 use gql_core::Graph;
 use gql_datagen::{erdos_renyi, subgraph_queries, ErConfig};
 use gql_match::{
-    feasible_mates_reference, match_pattern, refine_search_space_reference, search,
-    search_space_ln, GraphIndex, LocalPruning, MatchOptions, Pattern, RefineStats, SearchConfig,
+    match_pattern, search_indexed, search_space_ln, GraphIndex, LocalPruning, MatchOptions,
+    Pattern, RefineStats, SearchConfig,
 };
+use support::{feasible_mates_reference, refine_search_space_reference};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -40,7 +44,7 @@ fn seed_pipeline(pattern: &Pattern, g: &Graph, index: &GraphIndex, level: usize)
     let refine_stats = refine_search_space_reference(pattern, g, &mut mates, level);
     let refined_ln = search_space_ln(&mates);
     let order: Vec<usize> = (0..pattern.node_count()).collect();
-    let out = search(pattern, g, &mates, &order, &SearchConfig::default());
+    let out = search_indexed(pattern, g, None, &mates, &order, &SearchConfig::default());
     SeedRun {
         mappings: out.mappings,
         edge_bindings: out.edge_bindings,

@@ -6,7 +6,7 @@ use gql_core::fixtures::{figure_4_16_graph, figure_4_16_pattern, labeled_clique}
 use gql_core::Graph;
 use gql_datagen::{erdos_renyi, subgraph_queries, ErConfig};
 use gql_match::{
-    feasible_mates, match_pattern, search, GraphIndex, LocalPruning, MatchOptions, Pattern,
+    feasible_mates, match_pattern, search_indexed, GraphIndex, LocalPruning, MatchOptions, Pattern,
     SearchConfig,
 };
 use std::time::{Duration, Instant};
@@ -131,7 +131,7 @@ fn deadline_propagates_across_workers() {
             ..SearchConfig::default()
         };
         let t = Instant::now();
-        let out = search(&p, &g, &mates, &order, &cfg);
+        let out = search_indexed(&p, &g, Some(&index), &mates, &order, &cfg);
         assert!(out.timed_out, "threads={threads}");
         assert!(
             t.elapsed() < Duration::from_secs(5),
@@ -250,7 +250,6 @@ fn planner_pipeline_is_deterministic_across_thread_counts() {
         let obs = gql_core::Obs::new();
         let opts = MatchOptions {
             planner: Some(planner.clone()),
-            adaptive: true,
             refine: gql_match::RefineLevel::Auto,
             obs: Some(obs.clone()),
             ..MatchOptions::optimized()
@@ -297,7 +296,7 @@ fn planner_pipeline_is_deterministic_across_thread_counts() {
 
 #[test]
 fn raw_search_layer_is_deterministic() {
-    // Exercise `search` directly (bypassing match_pattern) so chunking
+    // Exercise `search_indexed` directly (bypassing match_pattern) so chunking
     // edge cases — more workers than roots, one root, empty mates —
     // are covered.
     let g = labeled_clique(&["A", "A", "B", "B", "A"]);
@@ -305,13 +304,20 @@ fn raw_search_layer_is_deterministic() {
     let index = GraphIndex::build(&g);
     let mates = feasible_mates(&p, &g, &index, LocalPruning::NodeAttributes);
     let order: Vec<usize> = (0..p.node_count()).collect();
-    let seq = search(&p, &g, &mates, &order, &SearchConfig::default());
+    let seq = search_indexed(
+        &p,
+        &g,
+        Some(&index),
+        &mates,
+        &order,
+        &SearchConfig::default(),
+    );
     for threads in [0, 2, 8, 64] {
         let cfg = SearchConfig {
             threads,
             ..SearchConfig::default()
         };
-        let par = search(&p, &g, &mates, &order, &cfg);
+        let par = search_indexed(&p, &g, Some(&index), &mates, &order, &cfg);
         assert_eq!(par.mappings, seq.mappings, "threads={threads}");
         assert_eq!(par.edge_bindings, seq.edge_bindings);
     }

@@ -1,5 +1,5 @@
-//! Plan cache ≡ no plan cache: with a planner attached — cold cache,
-//! hot cache, adaptive on or off — the pipeline must return results,
+//! Plan cache ≡ no plan cache: with a planner attached — cold cache or
+//! hot cache — the pipeline must return results,
 //! search effort, refinement counters, and obs counters (minus the
 //! planner's own hit/miss accounting) byte-identical to the unplanned
 //! path, at every thread count.
@@ -42,35 +42,32 @@ fn logical_outputs(rep: &MatchReport) -> impl PartialEq + std::fmt::Debug {
 fn assert_plan_equivalence(pattern: &Pattern, g: &Graph, base: &MatchOptions) {
     let unplanned = run(pattern, g, base, 1);
     for threads in THREADS {
-        for adaptive in [true, false] {
-            let planner = Arc::new(Planner::new());
-            let opts = MatchOptions {
-                planner: Some(Arc::clone(&planner)),
-                adaptive,
-                ..base.clone()
-            };
-            // Cold (miss + compile), then two hot runs (validated hits).
-            let cold = run(pattern, g, &opts, threads);
+        let planner = Arc::new(Planner::new());
+        let opts = MatchOptions {
+            planner: Some(Arc::clone(&planner)),
+            ..base.clone()
+        };
+        // Cold (miss + compile), then two hot runs (validated hits).
+        let cold = run(pattern, g, &opts, threads);
+        assert_eq!(
+            logical_outputs(&cold),
+            logical_outputs(&unplanned),
+            "cold plan, threads={threads}"
+        );
+        assert!(!cold.plan.as_ref().unwrap().cache_hit);
+        for pass in 0..2 {
+            let hot = run(pattern, g, &opts, threads);
             assert_eq!(
-                logical_outputs(&cold),
+                logical_outputs(&hot),
                 logical_outputs(&unplanned),
-                "cold plan, threads={threads}, adaptive={adaptive}"
+                "hot plan, pass={pass}, threads={threads}"
             );
-            assert!(!cold.plan.as_ref().unwrap().cache_hit);
-            for pass in 0..2 {
-                let hot = run(pattern, g, &opts, threads);
-                assert_eq!(
-                    logical_outputs(&hot),
-                    logical_outputs(&unplanned),
-                    "hot plan, pass={pass}, threads={threads}, adaptive={adaptive}"
-                );
-                let info = hot.plan.as_ref().unwrap();
-                assert!(info.cache_hit, "pass={pass}, threads={threads}");
-                assert!(!info.replanned, "stable sizes never replan");
-            }
-            let (hits, misses) = planner.cache_stats();
-            assert_eq!((hits, misses), (2, 1), "threads={threads}");
+            let info = hot.plan.as_ref().unwrap();
+            assert!(info.cache_hit, "pass={pass}, threads={threads}");
+            assert!(!info.replanned, "stable sizes never replan");
         }
+        let (hits, misses) = planner.cache_stats();
+        assert_eq!((hits, misses), (2, 1), "threads={threads}");
     }
 }
 
@@ -133,56 +130,53 @@ fn auto_refine_skip_preserves_results() {
 /// then query under `Profiles`. The plan key ignores the pruning config,
 /// so the hit's stored candidate sizes no longer match; the run must
 /// recompute its order from the actuals (results identical to the
-/// unplanned path), and with adaptivity on the entry is re-planned.
+/// unplanned path), and the entry is re-planned.
 #[test]
-fn diverged_plans_replan_adaptively_without_changing_results() {
-    let (g, _) = figure_4_16_graph();
-    let p = Pattern::structural(figure_4_16_pattern());
-    let warm_opts = |planner: &Arc<Planner>, adaptive: bool, pruning| MatchOptions {
-        pruning,
-        refine: RefineLevel::Off,
-        planner: Some(Arc::clone(planner)),
-        adaptive,
-        divergence_factor: 1.5,
-        ..MatchOptions::default()
-    };
-    for adaptive in [true, false] {
-        let planner = Arc::new(Planner::new());
-        // Warm with the larger NodeAttributes candidate sets.
-        let warm = run(
-            &p,
-            &g,
-            &warm_opts(&planner, adaptive, LocalPruning::NodeAttributes),
-            1,
-        );
-        assert!(!warm.plan.as_ref().unwrap().cache_hit);
-        // Hit with Profiles: same key, smaller observed sizes.
-        let opts = warm_opts(&planner, adaptive, LocalPruning::Profiles { radius: 1 });
-        let unplanned = run(
-            &p,
-            &g,
-            &MatchOptions {
-                planner: None,
-                ..opts.clone()
-            },
-            1,
-        );
-        let diverged = run(&p, &g, &opts, 1);
-        let info = diverged.plan.as_ref().unwrap();
-        assert!(info.cache_hit);
-        assert_eq!(info.replanned, adaptive, "replan obeys the adaptive knob");
-        assert_eq!(diverged.mappings, unplanned.mappings);
-        assert_eq!(diverged.order, unplanned.order);
-        assert_eq!(diverged.search_steps, unplanned.search_steps);
-        if adaptive {
-            // The adapted entry now expects the Profiles sizes: the next
-            // Profiles run is a validated hit with no replan.
-            let settled = run(&p, &g, &opts, 1);
-            let info = settled.plan.as_ref().unwrap();
-            assert!(info.cache_hit && !info.replanned);
-            assert_eq!(settled.mappings, unplanned.mappings);
+fn diverged_plans_replan_without_changing_results() {
+    // The figure 4.16 triangle plus isolated same-label nodes: node
+    // attributes admit 6 candidates per pattern node, profiles 1, 2
+    // and 1 — beyond `REPLAN_DIVERGENCE`.
+    let (mut g, _) = figure_4_16_graph();
+    for label in ["A", "B", "C"] {
+        for _ in 0..4 {
+            g.add_labeled_node(label);
         }
     }
+    let p = Pattern::structural(figure_4_16_pattern());
+    let planner = Arc::new(Planner::new());
+    let opts = |pruning| MatchOptions {
+        pruning,
+        refine: RefineLevel::Off,
+        planner: Some(Arc::clone(&planner)),
+        ..MatchOptions::default()
+    };
+    // Warm with the larger NodeAttributes candidate sets.
+    let warm = run(&p, &g, &opts(LocalPruning::NodeAttributes), 1);
+    assert!(!warm.plan.as_ref().unwrap().cache_hit);
+    // Hit with Profiles: same key, much smaller observed sizes.
+    let opts = opts(LocalPruning::Profiles { radius: 1 });
+    let unplanned = run(
+        &p,
+        &g,
+        &MatchOptions {
+            planner: None,
+            ..opts.clone()
+        },
+        1,
+    );
+    let diverged = run(&p, &g, &opts, 1);
+    let info = diverged.plan.as_ref().unwrap();
+    assert!(info.cache_hit);
+    assert!(info.replanned, "sizes shrank beyond REPLAN_DIVERGENCE");
+    assert_eq!(diverged.mappings, unplanned.mappings);
+    assert_eq!(diverged.order, unplanned.order);
+    assert_eq!(diverged.search_steps, unplanned.search_steps);
+    // The adapted entry now expects the Profiles sizes: the next
+    // Profiles run is a validated hit with no replan.
+    let settled = run(&p, &g, &opts, 1);
+    let info = settled.plan.as_ref().unwrap();
+    assert!(info.cache_hit && !info.replanned);
+    assert_eq!(settled.mappings, unplanned.mappings);
 }
 
 /// Obs counters with a planner attached must equal the unplanned run's

@@ -354,14 +354,12 @@ fn assert_equivalent(tagbase: &str, g: &Graph, p: &Pattern) {
                 profiles: true,
                 subgraphs: false,
                 threads,
-                csr: true,
                 prop_index,
             },
         );
         let obs = Obs::new();
         let opts = MatchOptions {
             threads,
-            prop_index,
             obs: Some(obs.clone()),
             ..MatchOptions::optimized()
         };

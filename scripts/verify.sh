@@ -37,38 +37,10 @@ cargo test -q -p gql-engine --test recovery
 echo "==> mmap equivalence suite (mapped vs owned opens, bit flips, compaction)"
 cargo test -q -p gql-engine --test mmap_equivalence
 
-echo "==> plan-cache smoke (match with and without --no-plan-cache must agree)"
-with_cache=$(cargo run --release -q -p gql-cli -- match \
-    --graph examples/gql/triangle_net.gql --pattern examples/gql/triangle.gql \
-    | grep -v '^time:')
-without_cache=$(cargo run --release -q -p gql-cli -- match \
-    --graph examples/gql/triangle_net.gql --pattern examples/gql/triangle.gql \
-    --no-plan-cache | grep -v '^time:')
-adaptive=$(cargo run --release -q -p gql-cli -- match \
-    --graph examples/gql/triangle_net.gql --pattern examples/gql/triangle.gql \
-    --adaptive on | grep -v '^time:')
-[ "$with_cache" = "$without_cache" ] || { echo "plan cache changed match output"; exit 1; }
-[ "$with_cache" = "$adaptive" ] || { echo "--adaptive on changed match output"; exit 1; }
-
-echo "==> CSR smoke (match with and without --no-csr must agree)"
-# Wall-clock lines differ run to run; compare everything else.
-with_csr=$(cargo run --release -q -p gql-cli -- match \
-    --graph examples/gql/triangle_net.gql --pattern examples/gql/triangle.gql \
-    | grep -v '^time:')
-without_csr=$(cargo run --release -q -p gql-cli -- match \
-    --graph examples/gql/triangle_net.gql --pattern examples/gql/triangle.gql --no-csr \
-    | grep -v '^time:')
-[ "$with_csr" = "$without_csr" ] || { echo "CSR and --no-csr outputs differ"; exit 1; }
-echo "$with_csr" | grep -q "matches: 2" || { echo "unexpected match count"; exit 1; }
-
-echo "==> property-index smoke (match with and without --no-prop-index must agree)"
-with_prop=$(cargo run --release -q -p gql-cli -- match \
-    --graph examples/gql/triangle_net.gql --pattern examples/gql/triangle.gql \
-    | grep -v '^time:')
-without_prop=$(cargo run --release -q -p gql-cli -- match \
-    --graph examples/gql/triangle_net.gql --pattern examples/gql/triangle.gql \
-    --no-prop-index | grep -v '^time:')
-[ "$with_prop" = "$without_prop" ] || { echo "--no-prop-index changed match output"; exit 1; }
+echo "==> match smoke (gql match on the bundled example)"
+match_out=$(cargo run --release -q -p gql-cli -- match \
+    --graph examples/gql/triangle_net.gql --pattern examples/gql/triangle.gql)
+grep -q "matches: 2" <<<"$match_out" || { echo "unexpected match count"; exit 1; }
 
 echo "==> profile smoke (gql run --profile on the bundled example)"
 # The profile report goes to stderr; results stay alone on stdout.
@@ -118,13 +90,8 @@ grep -q "opened" "$persist_tmp/diag2.txt" || { echo "reopen notice missing"; exi
 grep -q "opened .* (mapped)" "$persist_tmp/diag2.txt" \
     || { echo "default reopen did not map the checkpoint"; exit 1; }
 third=$(cargo run --release -q -p gql-cli -- run examples/gql/coauthors.gql \
-    --data-dir "$persist_tmp/db" --no-mmap 2> "$persist_tmp/diag3.txt")
-grep -q "opened .* (owned)" "$persist_tmp/diag3.txt" \
-    || { echo "--no-mmap reopen still mapped"; exit 1; }
-[ "$first" = "$third" ] || { echo "--no-mmap changed results"; exit 1; }
-fourth=$(cargo run --release -q -p gql-cli -- run examples/gql/coauthors.gql \
     --data-dir "$persist_tmp/db" --verify-checkpoint 2> /dev/null)
-[ "$first" = "$fourth" ] || { echo "--verify-checkpoint changed results"; exit 1; }
+[ "$first" = "$third" ] || { echo "--verify-checkpoint changed results"; exit 1; }
 rm -rf "$persist_tmp"
 
 echo "==> live telemetry smoke (--metrics-addr endpoints answer mid-run)"
@@ -182,5 +149,11 @@ rm -rf "$tele_tmp"
 
 echo "==> cargo bench --no-run (benches must compile)"
 cargo bench --no-run -p gql-bench
+
+echo "==> standing benchmark builds and self-tests against this checkout"
+# benchmark/ is its own workspace pinned to the library's public call
+# shapes; breaking one must fail here, not in the benchmark run.
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "verify: OK"

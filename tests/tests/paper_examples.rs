@@ -35,7 +35,7 @@ fn section_1_2_pruning_narrative() {
     let p = Pattern::structural(figure_4_16_pattern());
     let idx = GraphIndex::build(&g);
     let mut mates = feasible_mates(&p, &g, &idx, LocalPruning::NodeAttributes);
-    gql_match::refine_search_space(&p, &g, &mut mates, p.node_count());
+    gql_match::refine_search_space_csr(&p, &g, idx.csr(), &mut mates, p.node_count(), 1);
     assert!(!mates[0].contains(&ids[1]), "A2 pruned");
     assert!(!mates[2].contains(&ids[4]), "C1 pruned");
     assert!(!mates[1].contains(&ids[3]), "B2 pruned after A2");
