@@ -226,29 +226,6 @@ pub fn select_with_indexes_explain(
     Ok((matches, explain))
 }
 
-/// Selection against a pre-indexed single large graph — the §4/§5 path
-/// where the index is built once and reused across queries.
-pub fn select_indexed(
-    pattern: &CompiledPattern,
-    g: &Arc<Graph>,
-    index: &GraphIndex,
-    opts: &MatchOptions,
-) -> Result<Vec<MatchedGraph>> {
-    let pattern_arc = Arc::new(pattern.clone());
-    let report = match_pattern(&pattern.pattern, g, index, opts);
-    Ok(report
-        .mappings
-        .into_iter()
-        .zip(report.edge_bindings)
-        .map(|(mapping, edges)| MatchedGraph {
-            pattern: Arc::clone(&pattern_arc),
-            graph: Arc::clone(g),
-            mapping,
-            edge_mapping: edges,
-        })
-        .collect())
-}
-
 /// Cartesian product C × D: every output graph is the disjoint union of
 /// one graph from each input ("the constituent graphs are unconnected").
 pub fn cartesian_product(c: &GraphCollection, d: &GraphCollection) -> GraphCollection {

@@ -2,9 +2,9 @@
 //!
 //! [`workload`] prepares the datasets/indexes/query sets; [`experiments`]
 //! regenerates each figure of the paper (see DESIGN.md's experiment
-//! index). The `experiments` binary prints the tables; the Criterion
-//! benches under `benches/` provide stable microbenchmarks of the same
-//! code paths.
+//! index). The `experiments` binary prints the tables. Timing the system
+//! itself is the standing benchmark's job (`BENCHMARK.json`,
+//! `benchmark/`), not this crate's.
 
 #![warn(missing_docs)]
 

@@ -146,14 +146,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Arithmetic mean of durations, in microseconds.
-pub fn mean_micros(xs: &[f64]) -> f64 {
-    mean(xs)
-}
-
-/// Re-export for the binary.
-pub use gql_match::SpaceReport;
-
 /// Formats a `log10`-ratio for tables (e.g. `1e-12.3`).
 pub fn fmt_ratio(log10: f64) -> String {
     if log10.is_nan() {

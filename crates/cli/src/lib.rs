@@ -1213,4 +1213,39 @@ mod tests {
         assert!(err.message.contains("cannot open"), "{}", err.message);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// 200 000 nested parentheses (or chained operators) in a program or
+    /// a data file are a positioned parse error, not a stack overflow.
+    #[test]
+    fn unbounded_nesting_is_a_parse_error_not_a_crash() {
+        let dir = std::env::temp_dir().join(format!("gqlcli-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let n = 200_000;
+        let parens = format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        let chain = format!("1{}", "+1".repeat(n));
+        let prog = dir.join("ok.gql");
+        std::fs::write(
+            &prog,
+            r#"for graph Q { node a; } in doc("D") return graph {};"#,
+        )
+        .unwrap();
+        for (tag, expr) in [("parens", parens), ("chain", chain)] {
+            let path = dir.join(format!("{tag}.gql"));
+            std::fs::write(&path, format!("graph P {{ node v1; }} where {expr}=1;")).unwrap();
+            let path = path.to_string_lossy().into_owned();
+            let err = execute(run_cmd(&path, vec![])).expect_err(tag);
+            assert_eq!(err.code, 1, "{tag}");
+            assert!(
+                err.message.contains("syntax error at 1:") && err.message.contains("nesting"),
+                "{tag}: {}",
+                err.message
+            );
+            // The same text as a data file goes through the same parser.
+            let err =
+                execute(run_cmd(&prog.to_string_lossy(), vec![("D".into(), path)])).expect_err(tag);
+            assert_eq!(err.code, 1, "{tag} as data");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -34,9 +34,19 @@ pub fn parse_expr(src: &str) -> Result<ExprAst> {
     Ok(e)
 }
 
+/// Deepest expression nesting the parser accepts: open parentheses and
+/// operators folded into one left-deep chain both count. Expressions are
+/// the grammar's only recursive production (a `graph` member inside a
+/// block is a name, not a nested block); the descent and every later
+/// walk of the AST recurse once per level, so unbounded input must
+/// become an error, not a stack overflow.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Current nesting level; see [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -44,6 +54,7 @@ impl Parser {
         Ok(Parser {
             tokens: lex(src)?,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -70,6 +81,17 @@ impl Parser {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         let s = &self.tokens[self.pos];
         ParseError::syntax(msg, s.line, s.col)
+    }
+
+    /// Enters one more nesting level, or fails at the current token once
+    /// [`MAX_NESTING`] is reached. The caller restores `depth` on the way
+    /// out (an error aborts the parse, so only success paths need to).
+    fn descend(&mut self) -> Result<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn expect(&mut self, t: Token) -> Result<()> {
@@ -564,25 +586,31 @@ impl Parser {
     /// Precedence climbing; `min_bp` is the minimum operator precedence
     /// accepted at this level.
     fn expr_bp(&mut self, min_bp: u8) -> Result<ExprAst> {
+        let outer = self.depth;
         let mut lhs = self.term()?;
         while let Some(op) = self.binop_at() {
             let bp = op.precedence();
             if bp < min_bp {
                 break;
             }
+            // Each fold puts `lhs` one level deeper in the tree.
+            self.descend()?;
             self.bump();
             let rhs = self.expr_bp(bp + 1)?; // left-assoc
             lhs = ExprAst::binary(op, lhs, rhs);
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn term(&mut self) -> Result<ExprAst> {
         match self.peek().clone() {
             Token::LParen => {
+                self.descend()?;
                 self.bump();
                 let e = self.expr()?;
                 self.eat(&Token::RParen)?;
+                self.depth -= 1;
                 Ok(e)
             }
             Token::Int(_) | Token::Float(_) | Token::Str(_) => {
@@ -827,6 +855,39 @@ mod tests {
         assert!(err.to_string().contains("syntax error"));
         assert!(parse_program("for P in doc(42) return X;").is_err());
         assert!(parse_program("graph G { unify a; };").is_err());
+    }
+
+    fn parens(n: usize) -> String {
+        format!("{}1{}", "(".repeat(n), ")".repeat(n))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        assert_eq!(
+            parse_expr(&parens(MAX_NESTING - 1)).unwrap(),
+            parse_expr("1").unwrap()
+        );
+        let err = parse_expr(&parens(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert_eq!((err.line, err.col), (1, MAX_NESTING as u32 + 1));
+        // Far past the cap: an error, not a stack overflow.
+        let src = format!("graph P {{ node v1; }} where {}=1;", parens(200_000));
+        let err = parse_program(&src).unwrap_err();
+        assert!(!err.lexical);
+        assert_eq!(err.line, 1);
+    }
+
+    #[test]
+    fn operator_chains_are_capped_like_parentheses() {
+        // A chain folds left-deep, so its length is its tree depth.
+        let chain = |n: usize| format!("1{}", "+1".repeat(n));
+        assert!(parse_expr(&chain(MAX_NESTING - 1)).is_ok());
+        assert!(parse_expr(&chain(MAX_NESTING + 1)).is_err());
+        assert!(parse_expr(&chain(200_000)).is_err());
+        // Depth is restored between sibling subexpressions: many short
+        // parenthesised conjuncts stay well under the cap.
+        let wide = format!("(a=1){}", " & (b=2)".repeat(MAX_NESTING / 2));
+        assert!(parse_expr(&wide).is_ok());
     }
 
     #[test]

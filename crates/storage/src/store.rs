@@ -53,7 +53,7 @@ use gql_core::storage::{decode_collection, decode_graph, fnv1a, ByteSink};
 use gql_core::{ByteBuffer, FeedbackStore, Graph, Obs};
 use gql_match::IndexParts;
 use std::fs;
-use std::io::Write;
+use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -328,7 +328,7 @@ impl Store {
                 .as_ref()
                 .map(|o| o.span("storage.checkpoint.rename"));
             fs::rename(&tmp_path, self.dir.join(&seg_name))?;
-            sync_dir(&self.dir);
+            sync_dir(&self.dir)?;
         }
         {
             let _manifest_span = self
@@ -344,7 +344,7 @@ impl Store {
                 &self.dir.join(MANIFEST),
                 &manifest,
             )?;
-            sync_dir(&self.dir);
+            sync_dir(&self.dir)?;
         }
         {
             let _truncate_span = self
@@ -400,11 +400,13 @@ fn write_durable_rename(tmp: &Path, dst: &Path, bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Best-effort directory fsync so renames are durable; ignored on
-/// filesystems that refuse to sync directories.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+/// Directory fsync so a rename is durable. The only failure tolerated is
+/// a filesystem that refuses to sync directories at all; anything else
+/// (missing directory, EIO, ENOSPC) fails the checkpoint.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    match fs::File::open(dir)?.sync_all() {
+        Err(e) if matches!(e.kind(), ErrorKind::InvalidInput | ErrorKind::Unsupported) => Ok(()),
+        r => r,
     }
 }
 
@@ -569,6 +571,16 @@ mod tests {
             }],
             vars: vec![("Q".into(), encode_graph(&g))],
         }
+    }
+
+    #[test]
+    fn sync_dir_reports_real_failures() {
+        let dir = tmpdir("syncdir");
+        let err = sync_dir(&dir).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::NotFound);
+        fs::create_dir_all(&dir).unwrap();
+        sync_dir(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
