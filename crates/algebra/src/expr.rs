@@ -132,13 +132,11 @@ impl AlgebraExpr {
             } => {
                 let c = input.eval(ctx)?;
                 let ms = ops::select(pattern, &c, &ctx.options)?;
-                let _span = ctx.options.obs.as_deref().map(|o| o.span("op.compose"));
+                let _span = ops::compose_span(&ctx.options);
                 ops::compose(template, &ms)
             }
             AlgebraExpr::Product(a, b) => {
-                let (ca, cb) = (a.eval(ctx)?, b.eval(ctx)?);
-                let _span = ctx.options.obs.as_deref().map(|o| o.span("op.product"));
-                Ok(ops::cartesian_product(&ca, &cb))
+                Ok(ops::product(&a.eval(ctx)?, &b.eval(ctx)?, &ctx.options))
             }
             AlgebraExpr::Join {
                 pattern,

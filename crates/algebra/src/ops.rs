@@ -6,11 +6,10 @@ use crate::error::Result;
 use crate::matched::MatchedGraph;
 use crate::template::{instantiate, TemplateEnv};
 use gql_core::iso::graph_isomorphic;
-use gql_core::{ArgValue, ExplainNode, Graph, GraphCollection};
+use gql_core::{ArgValue, ExplainNode, Graph, GraphCollection, Span};
 use gql_match::{match_pattern, GraphIndex, GraphSnapshot, MatchOptions, Planner};
 use gql_parser::ast::GraphTemplateAst;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Selection σ_P(C): matches `pattern` against every graph of `collection`
 /// and returns the matched graphs (Definition: `σP(C) = {φP(G) | G ∈ C}`).
@@ -39,14 +38,13 @@ pub fn select(
 /// collection's indexes once, cache them, and pass them to
 /// [`select_with_indexes`] across queries.
 ///
-/// With an observability sink in `opts`, records an `op.index_build`
-/// span and bumps `index.builds` by the number of graphs indexed.
+/// With telemetry in `opts`, runs under an `op.index_build` span and
+/// bumps `index.builds` by the number of graphs indexed.
 pub fn build_collection_indexes(
     collection: &GraphCollection,
     opts: &MatchOptions,
 ) -> Vec<Arc<GraphIndex>> {
-    let _span = opts.obs.as_deref().map(|o| o.span("op.index_build"));
-    let trace_start = opts.trace.as_ref().map(|_| Instant::now());
+    let mut span = Span::phase(opts.telemetry.as_deref(), "op.index_build", "algebra");
     let graphs: Vec<&Graph> = collection.iter().collect();
     let workers = gql_core::resolve_threads(opts.threads).min(graphs.len().max(1));
     // Several graphs: one single-threaded build per worker; a singleton
@@ -59,17 +57,9 @@ pub fn build_collection_indexes(
             inner_threads,
         ))
     });
-    if let Some(obs) = &opts.obs {
-        obs.add("index.builds", indexes.len() as u64);
-    }
-    if let (Some(sink), Some(start)) = (&opts.trace, trace_start) {
-        sink.complete(
-            "op.index_build",
-            "algebra",
-            start,
-            vec![("graphs", ArgValue::UInt(indexes.len() as u64))],
-        );
-    }
+    span.count("index.builds", indexes.len() as u64);
+    span.arg("graphs", ArgValue::UInt(indexes.len() as u64));
+    span.finish();
     indexes
 }
 
@@ -104,51 +94,31 @@ pub fn select_with_snapshot(
     snapshot: &GraphSnapshot,
     opts: &MatchOptions,
 ) -> Result<Vec<MatchedGraph>> {
-    select_with_snapshot_explain(pattern, collection, snapshot, opts).map(|(m, _)| m)
-}
-
-/// [`select_with_snapshot`] additionally assembling the σ's `EXPLAIN
-/// ANALYZE` subtree when `opts.explain` is set.
-pub fn select_with_snapshot_explain(
-    pattern: &CompiledPattern,
-    collection: &GraphCollection,
-    snapshot: &GraphSnapshot,
-    opts: &MatchOptions,
-) -> Result<(Vec<MatchedGraph>, Option<ExplainNode>)> {
     let opts = MatchOptions {
         planner: snapshot.planner().cloned(),
         ..opts.clone()
     };
-    select_with_indexes_explain(pattern, collection, snapshot.indexes(), &opts)
+    select_with_indexes(pattern, collection, snapshot.indexes(), &opts)
 }
 
 /// [`select`] against prebuilt per-graph indexes (`indexes[i]` built
 /// from the i-th graph of `collection` — see
 /// [`build_collection_indexes`]). The engine's index cache goes through
-/// here; results are identical to [`select`]'s.
+/// here; results are identical to [`select`]'s in all configurations.
+///
+/// With telemetry in `opts` the σ runs under one `op.select` span. With
+/// explain on and a [collecting](gql_core::Telemetry::collecting)
+/// handle, its `select` tree — one `graph[i]` child per collection
+/// member, each carrying that run's `match` tree — is published there
+/// for the caller that owns the enclosing span.
 pub fn select_with_indexes(
     pattern: &CompiledPattern,
     collection: &GraphCollection,
     indexes: &[Arc<GraphIndex>],
     opts: &MatchOptions,
 ) -> Result<Vec<MatchedGraph>> {
-    select_with_indexes_explain(pattern, collection, indexes, opts).map(|(m, _)| m)
-}
-
-/// [`select_with_indexes`] additionally assembling the σ's `EXPLAIN
-/// ANALYZE` subtree when `opts.explain` is set: a `select` node with one
-/// `graph[i]` child per collection member, each carrying that run's
-/// `match` operator tree. With a trace sink attached the whole σ is
-/// also recorded as an `op.select` complete event. Matches are
-/// identical to [`select_with_indexes`]'s in all configurations.
-pub fn select_with_indexes_explain(
-    pattern: &CompiledPattern,
-    collection: &GraphCollection,
-    indexes: &[Arc<GraphIndex>],
-    opts: &MatchOptions,
-) -> Result<(Vec<MatchedGraph>, Option<ExplainNode>)> {
-    let _span = opts.obs.as_deref().map(|o| o.span("op.select"));
-    let trace_start = opts.trace.as_ref().map(|_| Instant::now());
+    let tel = opts.telemetry.as_deref();
+    let mut span = Span::phase(tel, "op.select", "algebra");
     let pattern_arc = Arc::new(pattern.clone());
     let graphs: Vec<&Graph> = collection.iter().collect();
     debug_assert_eq!(graphs.len(), indexes.len());
@@ -161,7 +131,7 @@ pub fn select_with_indexes_explain(
     } else {
         opts.clone()
     };
-    let per_graph: Vec<(Vec<MatchedGraph>, Option<ExplainNode>)> =
+    let mut per_graph: Vec<(Vec<MatchedGraph>, Option<ExplainNode>)> =
         gql_core::par_map_index(graphs.len(), workers, |i| {
             let g = graphs[i];
             // Each graph of the collection gets its own plan-cache /
@@ -191,39 +161,25 @@ pub fn select_with_indexes_explain(
                 .collect();
             (matches, explain)
         });
-    let explain = opts.explain.then(|| {
-        let mut node = ExplainNode::new("select");
-        node.prop("graphs", ArgValue::UInt(graphs.len() as u64));
-        node.prop(
-            "matches",
-            ArgValue::UInt(per_graph.iter().map(|(m, _)| m.len() as u64).sum()),
-        );
-        for (i, (ms, ex)) in per_graph.iter().enumerate() {
-            let mut child = ExplainNode::new(format!("graph[{i}]"));
-            if let Some(name) = collection.get(i).and_then(|g| g.name.as_deref()) {
-                child.prop("name", ArgValue::Str(name.to_string()));
-            }
-            child.prop("matches", ArgValue::UInt(ms.len() as u64));
-            if let Some(tree) = ex {
-                child.child(tree.clone());
-            }
-            node.child(child);
-        }
-        node
-    });
-    let matches: Vec<MatchedGraph> = per_graph.into_iter().flat_map(|(m, _)| m).collect();
-    if let (Some(sink), Some(start)) = (&opts.trace, trace_start) {
-        sink.complete(
-            "op.select",
-            "algebra",
-            start,
-            vec![
-                ("graphs", ArgValue::UInt(graphs.len() as u64)),
-                ("matches", ArgValue::UInt(matches.len() as u64)),
-            ],
-        );
+    if span.recording() {
+        let matches: usize = per_graph.iter().map(|(m, _)| m.len()).sum();
+        span.arg("graphs", ArgValue::UInt(graphs.len() as u64));
+        span.arg("matches", ArgValue::UInt(matches as u64));
     }
-    Ok((matches, explain))
+    if let Some(t) = tel.filter(|t| t.explains()) {
+        for (i, (ms, tree)) in per_graph.iter_mut().enumerate() {
+            let mut graph = Span::node(t, "graph").at(i);
+            if let Some(name) = graphs[i].name.as_deref() {
+                graph.arg("name", ArgValue::Str(name.to_string()));
+            }
+            graph.arg("matches", ArgValue::UInt(ms.len() as u64));
+            graph.child(tree.take());
+            span.child(graph.finish());
+        }
+    }
+    let matches = per_graph.into_iter().flat_map(|(m, _)| m).collect();
+    span.publish();
+    Ok(matches)
 }
 
 /// Cartesian product C × D: every output graph is the disjoint union of
@@ -249,12 +205,21 @@ pub fn join(
     pattern: &CompiledPattern,
     opts: &MatchOptions,
 ) -> Result<Vec<MatchedGraph>> {
-    let _span = opts.obs.as_deref().map(|o| o.span("op.join"));
-    let product = {
-        let _pspan = opts.obs.as_deref().map(|o| o.span("op.product"));
-        cartesian_product(c, d)
-    };
-    select(pattern, &product, opts)
+    let _span = Span::phase(opts.telemetry.as_deref(), "op.join", "algebra");
+    select(pattern, &product(c, d, opts), opts)
+}
+
+/// [`cartesian_product`] under an `op.product` span.
+pub fn product(c: &GraphCollection, d: &GraphCollection, opts: &MatchOptions) -> GraphCollection {
+    let _span = Span::phase(opts.telemetry.as_deref(), "op.product", "algebra");
+    cartesian_product(c, d)
+}
+
+/// The span ω_T runs under (`op.compose`), for every caller that
+/// instantiates templates over σ's matches — algebra expressions and
+/// the engine's FLWR bodies alike.
+pub fn compose_span(opts: &MatchOptions) -> Span<'_> {
+    Span::phase(opts.telemetry.as_deref(), "op.compose", "algebra")
 }
 
 /// Primitive composition ω_T(C): instantiates `template` once per
@@ -371,9 +336,10 @@ mod tests {
         }
     }
 
-    /// σ with explain + trace on returns identical matches, a `select`
-    /// tree with one `graph[i]` child per collection member, and
-    /// `op.select` / `op.index_build` trace events.
+    /// σ with explain + trace on returns identical matches, publishes a
+    /// `select` tree with one `graph[i]` child per collection member to
+    /// a collecting handle, and records `op.select` / `op.index_build`
+    /// trace events.
     #[test]
     fn select_explain_and_trace_are_equivalent() {
         let coll: GraphCollection = figure_4_13_dblp().into();
@@ -383,29 +349,54 @@ mod tests {
         .unwrap();
         let plain = select(&p, &coll, &MatchOptions::default()).unwrap();
         for threads in [1, 2, 8] {
-            let sink = gql_core::TraceSink::new();
+            let tel = gql_core::Telemetry::new().with_tracing().with_explain();
+            let tel = Arc::new(tel.collecting());
             let opts = MatchOptions {
-                explain: true,
-                trace: Some(Arc::clone(&sink)),
+                telemetry: Some(Arc::clone(&tel)),
                 threads,
                 ..MatchOptions::default()
             };
             let indexes = build_collection_indexes(&coll, &opts);
-            let (ms, explain) = select_with_indexes_explain(&p, &coll, &indexes, &opts).unwrap();
+            let ms = select_with_indexes(&p, &coll, &indexes, &opts).unwrap();
             assert_eq!(ms.len(), plain.len(), "threads={threads}");
             for (a, b) in ms.iter().zip(&plain) {
                 assert_eq!(a.mapping, b.mapping, "threads={threads}");
             }
-            let tree = explain.expect("explain requested");
+            let tree = tel.take_published().expect("explain requested");
             assert_eq!(tree.label, "select");
             assert_eq!(tree.children.len(), coll.len());
             assert!(tree.children.iter().all(|c| c.label.starts_with("graph[")));
             // Each per-graph child carries the match operator subtree.
             assert!(tree.children.iter().all(|c| c.children.len() == 1));
-            let names: Vec<String> = sink.events().iter().map(|e| e.name.clone()).collect();
+            let names: Vec<String> = tel.events().iter().map(|e| e.name.clone()).collect();
             assert!(names.iter().any(|n| n == "op.select"), "{names:?}");
             assert!(names.iter().any(|n| n == "op.index_build"), "{names:?}");
         }
+    }
+
+    /// σ inside a join or an algebra expression runs on an ordinary
+    /// handle: its spans still record, but no tree is kept for anyone.
+    #[test]
+    fn join_and_expression_selects_leave_no_tree_behind() {
+        let coll: GraphCollection = figure_4_13_dblp().into();
+        let p = compile_pattern_text(r#"graph P { node v1 <author>; }"#).unwrap();
+        let tel = Arc::new(gql_core::Telemetry::new().with_tracing().with_explain());
+        let opts = MatchOptions {
+            telemetry: Some(Arc::clone(&tel)),
+            ..MatchOptions::default()
+        };
+        let one: GraphCollection = vec![labeled_path(&["A"])].into();
+        assert!(!join(&coll, &one, &p, &opts).unwrap().is_empty());
+        let ctx = crate::AlgebraCtx {
+            options: opts,
+            ..crate::AlgebraCtx::new().with_collection("C", coll)
+        };
+        let expr = crate::AlgebraExpr::select(p, crate::AlgebraExpr::Collection("C".into()));
+        assert!(!expr.eval(&ctx).unwrap().is_empty());
+        assert!(tel.take_published().is_none());
+        let names: Vec<String> = tel.events().iter().map(|e| e.name.clone()).collect();
+        assert_eq!(names.iter().filter(|n| *n == "op.select").count(), 2);
+        assert!(names.iter().any(|n| n == "op.join"), "{names:?}");
     }
 
     /// σ through a [`GraphSnapshot`] returns the same matches as the

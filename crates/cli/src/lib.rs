@@ -220,12 +220,21 @@ structurally on adoption instead) — corruption is still always a loud
 error, just possibly reported at first use rather than at open.
 ";
 
-fn parse_threads(it: &mut std::slice::Iter<'_, String>) -> Result<usize> {
-    let v = it
-        .next()
-        .ok_or_else(|| CliError::usage("--threads needs a count"))?;
+/// The value after `flag`, or a usage error saying what it needs.
+fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str, what: &str) -> Result<&'a String> {
+    it.next()
+        .ok_or_else(|| CliError::usage(format!("{flag} needs {what}")))
+}
+
+/// The value after `flag`, parsed.
+fn number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<T> {
+    let v = value(it, flag, what)?;
     v.parse()
-        .map_err(|_| CliError::usage(format!("bad --threads value {v:?}")))
+        .map_err(|_| CliError::usage(format!("bad {flag} value {v:?}")))
 }
 
 /// Parses argv (without the binary name).
@@ -263,52 +272,27 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 } else if let Some(fmt) = a.strip_prefix("--explain=") {
                     return Err(CliError::usage(format!("bad --explain format {fmt:?}")));
                 } else if a == "--trace" {
-                    let path = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("--trace needs a file path"))?;
-                    trace = Some(path.clone());
+                    trace = Some(value(&mut it, a, "a file path")?.clone());
                 } else if a == "--metrics" {
-                    let path = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("--metrics needs a file path"))?;
-                    metrics = Some(path.clone());
+                    metrics = Some(value(&mut it, a, "a file path")?.clone());
                 } else if a == "--metrics-addr" {
-                    let addr = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("--metrics-addr needs host:port"))?;
-                    metrics_addr = Some(addr.clone());
+                    metrics_addr = Some(value(&mut it, a, "host:port")?.clone());
                 } else if a == "--metrics-linger-ms" {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("--metrics-linger-ms needs a duration"))?;
-                    metrics_linger_ms = Some(v.parse().map_err(|_| {
-                        CliError::usage(format!("bad --metrics-linger-ms value {v:?}"))
-                    })?);
+                    metrics_linger_ms = Some(number(&mut it, a, "a duration")?);
                 } else if a == "--slow-ms" {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("--slow-ms needs a threshold"))?;
-                    slow_ms = Some(
-                        v.parse()
-                            .map_err(|_| CliError::usage(format!("bad --slow-ms value {v:?}")))?,
-                    );
+                    slow_ms = Some(number(&mut it, a, "a threshold")?);
                 } else if a == "--data-dir" {
-                    let path = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("--data-dir needs a directory"))?;
-                    data_dir = Some(path.clone());
+                    data_dir = Some(value(&mut it, a, "a directory")?.clone());
                 } else if a == "--checkpoint" {
                     checkpoint = true;
                 } else if a == "--data" {
-                    let spec = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("--data needs NAME=PATH"))?;
+                    let spec = value(&mut it, a, "NAME=PATH")?;
                     let (name, path) = spec
                         .split_once('=')
                         .ok_or_else(|| CliError::usage(format!("bad --data spec {spec:?}")))?;
                     data.push((name.to_string(), path.to_string()));
                 } else if a == "--threads" {
-                    threads = parse_threads(&mut it)?;
+                    threads = number(&mut it, a, "a count")?;
                 } else if program.is_none() && !a.starts_with("--") {
                     program = Some(a.clone());
                 } else {
@@ -354,7 +338,7 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     "--pattern" => pattern = it.next().cloned(),
                     "--baseline" => baseline = true,
                     "--first" => first = true,
-                    "--threads" => threads = parse_threads(&mut it)?,
+                    "--threads" => threads = number(&mut it, a, "a count")?,
                     other => return Err(CliError::usage(format!("unexpected argument {other:?}"))),
                 }
             }
@@ -439,7 +423,7 @@ pub fn execute(cmd: Command) -> Result<Output> {
             if explain.is_some() {
                 db.enable_explain();
             }
-            let sink = trace.as_ref().map(|_| db.enable_tracing());
+            let tracing = trace.as_ref().map(|_| db.enable_tracing());
             if let Some(ms) = slow_ms {
                 db.set_slow_query_threshold(Duration::from_millis(ms));
             }
@@ -519,9 +503,17 @@ pub fn execute(cmd: Command) -> Result<Output> {
                 None => {}
             }
             if slow_ms.is_some() {
+                // The log keeps the most recent statements; the header
+                // counts all of them.
                 let slow = db.slow_queries();
                 if !slow.is_empty() {
-                    let _ = writeln!(out.stderr, "\n-- slow queries ({}) --", slow.len());
+                    let total = db.metrics().slow_total();
+                    let shown = if total > slow.len() as u64 {
+                        format!(", last {} shown", slow.len())
+                    } else {
+                        String::new()
+                    };
+                    let _ = writeln!(out.stderr, "\n-- slow queries ({total}{shown}) --");
                     for q in slow {
                         let _ = writeln!(
                             out.stderr,
@@ -532,10 +524,11 @@ pub fn execute(cmd: Command) -> Result<Output> {
                     }
                 }
             }
-            if let (Some(path), Some(sink)) = (&trace, &sink) {
-                std::fs::write(path, sink.render_chrome_json())
+            if let (Some(path), Some(tracing)) = (&trace, &tracing) {
+                std::fs::write(path, tracing.render_chrome_json())
                     .map_err(|e| CliError::run(format!("cannot write {path:?}: {e}")))?;
-                let _ = writeln!(out.stderr, "trace written to {path}: {} events", sink.len());
+                let events = tracing.events().len();
+                let _ = writeln!(out.stderr, "trace written to {path}: {events} events");
             }
             if let Some(path) = &metrics {
                 std::fs::write(path, db.profile_report().render_prometheus())
@@ -1013,6 +1006,39 @@ mod tests {
             metrics.contains("gql_engine_flwr_seconds_count 1"),
             "{metrics}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The slow-query log keeps the most recent statements; its header
+    /// still counts every one and says how many are shown.
+    #[test]
+    fn slow_log_header_counts_evicted_statements() {
+        let dir = std::env::temp_dir().join(format!("gqlcli-slow-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("d.gql");
+        let prog = dir.join("prog.gql");
+        std::fs::write(&data, r#"graph G1 { node v1 <author name="A">; };"#).unwrap();
+        let stmt = r#"for graph Q { node a <author>; } in doc("D") return graph { node n; };"#;
+        let program = |n: usize| std::fs::write(&prog, vec![stmt; n].join("\n")).unwrap();
+        let run = || {
+            let mut cmd = run_cmd(
+                &prog.to_string_lossy(),
+                vec![("D".into(), data.to_string_lossy().into_owned())],
+            );
+            if let Command::Run { slow_ms, .. } = &mut cmd {
+                *slow_ms = Some(0);
+            }
+            execute(cmd).unwrap().stderr
+        };
+        program(70);
+        let stderr = run();
+        assert!(
+            stderr.contains("-- slow queries (70, last 64 shown) --"),
+            "{stderr}"
+        );
+        assert_eq!(stderr.matches(" in D took ").count(), 64);
+        program(3);
+        assert!(run().contains("-- slow queries (3) --"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

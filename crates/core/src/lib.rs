@@ -26,8 +26,9 @@
 //!   matcher's search/refine/profile kernels run on;
 //! - [`par`]: std-only order-preserving parallel map helpers used by the
 //!   matcher's multi-threaded execution layer;
-//! - [`obs`]: the zero-dependency metrics registry (counters, phase
-//!   spans) behind the pipeline's `--profile` observability surface.
+//! - [`obs`]: the zero-dependency telemetry layer — one span per phase
+//!   feeding the metrics registry, the trace timeline, and `EXPLAIN
+//!   ANALYZE` trees.
 //!
 //! ```
 //! use gql_core::{Graph, Tuple};
@@ -73,8 +74,9 @@ pub use neighborhood::{neighborhood_subgraph, NeighborhoodSubgraph, Profile};
 pub use obs::explain::ExplainNode;
 pub use obs::json::validate_json;
 pub use obs::prom::validate_prometheus;
-pub use obs::trace::{ArgValue, TraceEvent, TraceSink, TraceSpan};
-pub use obs::{Obs, ObsReport, PhaseStats};
+pub use obs::telemetry::{Span, Telemetry};
+pub use obs::trace::{ArgValue, TraceEvent};
+pub use obs::{Obs, ObsMark, ObsReport, PhaseStats};
 pub use op::BinOp;
 pub use par::{par_map_index, par_map_index_with, par_map_slice, resolve_threads};
 pub use plan::{

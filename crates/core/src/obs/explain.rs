@@ -4,24 +4,28 @@
 //! a FLWR clause, a σ selection, an index build, a per-pattern-node
 //! retrieval, a refinement level, a search — annotated with the actual
 //! cardinalities, pruning ratios, and timings observed while running
-//! it. The engine assembles the tree; this module owns the generic
-//! structure and its text/JSON renderings so every layer (and the CLI)
-//! shares one format.
+//! it. Nodes come from closing [`Span`](super::telemetry::Span)s with
+//! EXPLAIN on (span args become props, children attach in order); this
+//! module owns the generic structure and its text/JSON renderings so
+//! every layer (and the CLI) shares one format.
 //!
 //! ```
 //! use gql_core::obs::explain::ExplainNode;
 //! use gql_core::obs::trace::ArgValue;
 //!
-//! let mut root = ExplainNode::new("select");
-//! root.prop("graphs", ArgValue::UInt(3));
-//! root.child(ExplainNode::new("search"));
+//! let root = ExplainNode {
+//!     props: vec![("graphs".into(), ArgValue::UInt(3))],
+//!     children: vec![ExplainNode::new("search")],
+//!     ..ExplainNode::new("select")
+//! };
 //! let text = root.render_text();
-//! assert!(text.starts_with("select"));
+//! assert!(text.starts_with("select  (graphs=3)"));
 //! assert!(text.contains("└─ search"));
 //! ```
 
 use std::fmt::Write as _;
 
+use super::json;
 use super::trace::ArgValue;
 
 /// One operator in an explain tree: a label, ordered key/value
@@ -44,18 +48,6 @@ impl ExplainNode {
             props: Vec::new(),
             children: Vec::new(),
         }
-    }
-
-    /// Appends an annotation (kept in insertion order).
-    pub fn prop(&mut self, key: impl Into<String>, value: ArgValue) -> &mut Self {
-        self.props.push((key.into(), value));
-        self
-    }
-
-    /// Appends a child operator.
-    pub fn child(&mut self, node: ExplainNode) -> &mut Self {
-        self.children.push(node);
-        self
     }
 
     /// Renders the tree as indented text with box-drawing connectors:
@@ -114,33 +106,14 @@ impl ExplainNode {
         let _ = write!(
             out,
             "{pad}{{\n{pad}  \"label\": \"{}\",\n{pad}  \"props\": {{",
-            super::json_escape(&self.label)
+            json::escape(&self.label)
         );
         for (i, (k, v)) in self.props.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n{pad}    \"{}\": ", super::json_escape(k));
-            match v {
-                ArgValue::Int(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                ArgValue::UInt(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                ArgValue::Float(f) if f.is_finite() => {
-                    let _ = write!(out, "{f}");
-                }
-                ArgValue::Float(f) => {
-                    let _ = write!(out, "\"{f}\"");
-                }
-                ArgValue::Str(s) => {
-                    let _ = write!(out, "\"{}\"", super::json_escape(s));
-                }
-                ArgValue::Bool(b) => {
-                    let _ = write!(out, "{b}");
-                }
-            }
+            let _ = write!(out, "\n{pad}    \"{}\": ", json::escape(k));
+            v.render_json(out);
         }
         if self.props.is_empty() {
             out.push_str("},");
@@ -168,19 +141,36 @@ mod tests {
     use super::*;
     use crate::obs::json::validate_json;
 
+    fn node(label: &str, props: &[(&str, ArgValue)], children: Vec<ExplainNode>) -> ExplainNode {
+        ExplainNode {
+            label: label.into(),
+            props: props
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+            children,
+        }
+    }
+
     fn sample() -> ExplainNode {
-        let mut root = ExplainNode::new("flwr");
-        root.prop("elapsed_ms", ArgValue::Float(1.25));
-        let mut select = ExplainNode::new("select");
-        select.prop("graphs", ArgValue::UInt(3));
-        select.prop("collection", ArgValue::Str("db\"x".into()));
-        let mut index = ExplainNode::new("index build");
-        index.prop("cached", ArgValue::Bool(true));
-        select.child(index);
-        select.child(ExplainNode::new("graph[0]"));
-        select.child(ExplainNode::new("graph[1]"));
-        root.child(select);
-        root
+        let index = node("index build", &[("cached", ArgValue::Bool(true))], vec![]);
+        let select = node(
+            "select",
+            &[
+                ("graphs", ArgValue::UInt(3)),
+                ("collection", ArgValue::Str("db\"x".into())),
+            ],
+            vec![
+                index,
+                node("graph[0]", &[], vec![]),
+                node("graph[1]", &[], vec![]),
+            ],
+        );
+        node(
+            "flwr",
+            &[("elapsed_ms", ArgValue::Float(1.25))],
+            vec![select],
+        )
     }
 
     #[test]
@@ -195,11 +185,8 @@ mod tests {
         assert!(text.contains("   ├─ graph[0]"), "{text}");
         assert!(text.contains("   └─ graph[1]"), "{text}");
         // Nesting guide for non-last parents.
-        let mut deep = ExplainNode::new("a");
-        let mut b = ExplainNode::new("b");
-        b.child(ExplainNode::new("c"));
-        deep.child(b);
-        deep.child(ExplainNode::new("d"));
+        let b = node("b", &[], vec![ExplainNode::new("c")]);
+        let deep = node("a", &[], vec![b, ExplainNode::new("d")]);
         let text = deep.render_text();
         assert!(text.contains("│  └─ c"), "{text}");
     }

@@ -1,20 +1,43 @@
-//! A std-only JSON well-formedness checker.
+//! Std-only JSON helpers: the one string escaper and a well-formedness
+//! checker.
 //!
 //! The observability layer emits JSON by hand (reports, explain trees,
-//! Chrome trace files) because the workspace takes no third-party
-//! dependencies. This module is the safety net: a recursive-descent
-//! validator that tests run over every emitted document, so a missed
-//! comma or an unescaped quote fails CI instead of breaking Perfetto.
+//! Chrome trace files, the `/healthz` and `/slow` bodies) because the
+//! workspace takes no third-party dependencies. Every emitter escapes
+//! strings through [`escape`]; [`validate_json`] is the safety net, a
+//! recursive-descent validator that tests run over every emitted
+//! document, so a missed comma or an unescaped quote fails CI instead
+//! of breaking Perfetto.
 //!
-//! It checks *well-formedness* per RFC 8259 (grammar, string escapes,
-//! number syntax, nesting depth), not schemas.
+//! The validator checks *well-formedness* per RFC 8259 (grammar, string
+//! escapes, number syntax, nesting depth), not schemas.
 //!
 //! ```
-//! use gql_core::obs::json::validate_json;
+//! use gql_core::obs::json::{escape, validate_json};
 //!
 //! assert!(validate_json("{\"a\": [1, 2.5, null, \"x\\n\"]}").is_ok());
 //! assert!(validate_json("{\"a\": }").is_err());
+//! assert!(validate_json(&format!("\"{}\"", escape("q\"\n"))).is_ok());
 //! ```
+
+use std::fmt::Write as _;
+
+/// Escapes `s` for use inside a JSON string literal (quotes,
+/// backslashes, and control characters).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Maximum nesting depth accepted before bailing out (guards the
 /// validator's own recursion; our emitters never approach it).

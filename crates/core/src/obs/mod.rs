@@ -1,24 +1,34 @@
-//! Pipeline observability: a zero-dependency metrics registry.
+//! Pipeline observability: one telemetry handle over three outputs.
 //!
 //! The paper's whole §5 evaluation is per-phase instrumentation —
 //! pruning power of profiles vs. refinement, search-space ratios,
 //! per-phase wall-clock — and a production deployment needs the same
-//! visibility. This module provides the substrate: an [`Obs`] registry
-//! of named **atomic counters** and **duration histograms**, cheap
-//! enough to leave compiled into every pipeline layer.
+//! visibility. The query pipeline records through one
+//! [`Telemetry`](telemetry::Telemetry) handle: each phase boundary opens
+//! one [`Span`](telemetry::Span), and closing it feeds all three
+//! outputs — the phase duration into the aggregate [`Obs`] registry
+//! (this module), a Chrome trace event ([`trace`]) if tracing is on,
+//! and the phase's `EXPLAIN ANALYZE` node ([`explain`]) if explain is
+//! on. [`prom`] renders the registry for Prometheus, [`json`] holds the
+//! one JSON string escaper and the well-formedness checker.
 //!
-//! Design rules:
+//! The [`Obs`] registry itself is a table of named **atomic counters**,
+//! **gauges** and **duration stats**. Design rules:
 //!
 //! - **Disabled means free.** Pipeline code holds an
-//!   `Option<Arc<Obs>>`; when it is `None` the instrumentation is a
+//!   `Option<Arc<Telemetry>>`; when it is `None` every boundary is one
 //!   skipped branch. Hot kernels never consult the registry per
-//!   element — they keep local integer counts (as they always did) and
-//!   flush aggregates once per phase.
+//!   element — they keep local integer counts and record once per
+//!   phase.
 //! - **Deterministic counters.** Counters record logical quantities
 //!   (candidates pruned, search steps, pairs removed), so for
 //!   deterministic workloads the counter snapshot is byte-identical at
 //!   any `--threads` setting. Histograms record wall-clock and are
 //!   explicitly excluded from determinism comparisons.
+//! - **Never reset.** The registry is cumulative for its owner's whole
+//!   lifetime (health checks and `/metrics` read it). A per-run view —
+//!   `--profile` — is a delta: [`Obs::mark`] takes a baseline and
+//!   [`Obs::report_since`] reports only what was recorded after it.
 //! - **Std-only.** `Mutex<BTreeMap>` name table (names are touched once
 //!   per phase, not per element) with `AtomicU64` cells behind `Arc`,
 //!   so recording never holds the table lock.
@@ -38,6 +48,7 @@
 pub mod explain;
 pub mod json;
 pub mod prom;
+pub mod telemetry;
 pub mod trace;
 
 use std::collections::BTreeMap;
@@ -149,29 +160,61 @@ impl PhaseStats {
     }
 }
 
-/// An in-flight phase span; records its elapsed time into the owning
-/// stat on drop.
-pub struct Span {
+/// An in-flight aggregate-only span (no trace event, no EXPLAIN node —
+/// see [`telemetry::Span`] for those); records its elapsed time into
+/// the owning stat on drop.
+pub struct Timer {
     stat: Arc<DurationStat>,
     start: Instant,
 }
 
-impl Drop for Span {
+impl Drop for Timer {
     fn drop(&mut self) {
         self.stat.record(self.start.elapsed());
     }
 }
 
-/// The metrics registry: named counters and duration stats.
+/// A name → (cell, epoch of its last lookup) table. The stamp is how
+/// [`Obs::report_since`] tells "recorded after the mark" from "only
+/// existed before it".
+type Table<T> = Mutex<BTreeMap<String, (Arc<T>, u64)>>;
+
+fn lookup<T: Default>(table: &Table<T>, name: &str, epoch: u64) -> Arc<T> {
+    let mut map = table.lock().expect("obs table poisoned");
+    let slot = map.entry(name.to_string()).or_default();
+    slot.1 = epoch;
+    Arc::clone(&slot.0)
+}
+
+/// `(name, read(cell))` for every slot looked up in epoch `since` or
+/// later, sorted by name.
+fn snapshot<T, R>(table: &Table<T>, since: u64, read: impl Fn(&T) -> R) -> Vec<(String, R)> {
+    let map = table.lock().expect("obs table poisoned");
+    map.iter()
+        .filter(|(_, (_, touched))| *touched >= since)
+        .map(|(k, (cell, _))| (k.clone(), read(cell)))
+        .collect()
+}
+
+/// A baseline taken by [`Obs::mark`]: the registry's contents at that
+/// moment plus the epoch that began there.
+#[derive(Debug, Clone)]
+pub struct ObsMark {
+    epoch: u64,
+    base: ObsReport,
+}
+
+/// The metrics registry: named counters, gauges and duration stats.
 ///
 /// Cloning the `Arc<Obs>` shares the registry; [`Obs::report`] takes a
 /// consistent-enough snapshot for end-of-query reporting (individual
 /// cells are read atomically).
 #[derive(Default)]
 pub struct Obs {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    phases: Mutex<BTreeMap<String, Arc<DurationStat>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
+    epoch: AtomicU64,
+    counters: Table<Counter>,
+    phases: Table<DurationStat>,
+    gauges: Table<Gauge>,
 }
 
 impl fmt::Debug for Obs {
@@ -193,29 +236,17 @@ impl Obs {
     /// The counter named `name`, created on first use. Cache the handle
     /// when recording repeatedly.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("obs counters poisoned");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::default())),
-        )
+        lookup(&self.counters, name, self.epoch.load(Ordering::Relaxed))
     }
 
     /// The duration stat named `name`, created on first use.
     pub fn phase(&self, name: &str) -> Arc<DurationStat> {
-        let mut map = self.phases.lock().expect("obs phases poisoned");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(DurationStat::default())),
-        )
+        lookup(&self.phases, name, self.epoch.load(Ordering::Relaxed))
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("obs gauges poisoned");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::default())),
-        )
+        lookup(&self.gauges, name, self.epoch.load(Ordering::Relaxed))
     }
 
     /// Adds `n` to counter `name`.
@@ -233,67 +264,67 @@ impl Obs {
         self.phase(name).record(d);
     }
 
-    /// Starts a span over phase `name`; the elapsed time is recorded
-    /// when the returned guard drops.
-    pub fn span(&self, name: &str) -> Span {
-        Span {
+    /// Starts an aggregate-only span over phase `name`; the elapsed time
+    /// is recorded when the returned guard drops.
+    pub fn span(&self, name: &str) -> Timer {
+        Timer {
             stat: self.phase(name),
             start: Instant::now(),
         }
     }
 
-    /// Snapshot of every counter and phase.
+    /// Snapshot of every counter, phase, and gauge.
     pub fn report(&self) -> ObsReport {
-        let counters = self
-            .counters
-            .lock()
-            .expect("obs counters poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let phases = self
-            .phases
-            .lock()
-            .expect("obs phases poisoned")
-            .iter()
-            .map(|(k, v)| {
-                let count = v.count.load(Ordering::Relaxed);
-                (
-                    k.clone(),
-                    PhaseStats {
-                        count,
-                        total: Duration::from_nanos(v.total_ns.load(Ordering::Relaxed)),
-                        min: if count == 0 {
-                            Duration::ZERO
-                        } else {
-                            Duration::from_nanos(v.min_ns.load(Ordering::Relaxed))
-                        },
-                        max: Duration::from_nanos(v.max_ns.load(Ordering::Relaxed)),
-                    },
-                )
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .expect("obs gauges poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
+        self.report_touched_since(0)
+    }
+
+    fn report_touched_since(&self, epoch: u64) -> ObsReport {
         ObsReport {
-            counters,
-            phases,
-            gauges,
+            counters: snapshot(&self.counters, epoch, Counter::get),
+            phases: snapshot(&self.phases, epoch, |v| {
+                let count = v.count.load(Ordering::Relaxed);
+                PhaseStats {
+                    count,
+                    total: Duration::from_nanos(v.total_ns.load(Ordering::Relaxed)),
+                    min: if count == 0 {
+                        Duration::ZERO
+                    } else {
+                        Duration::from_nanos(v.min_ns.load(Ordering::Relaxed))
+                    },
+                    max: Duration::from_nanos(v.max_ns.load(Ordering::Relaxed)),
+                }
+            }),
+            gauges: snapshot(&self.gauges, epoch, Gauge::get),
         }
     }
 
-    /// Clears every counter, phase, and gauge (the names are forgotten
-    /// too, so the next report only contains metrics touched since the
-    /// reset).
-    pub fn reset(&self) {
-        self.counters.lock().expect("obs counters poisoned").clear();
-        self.phases.lock().expect("obs phases poisoned").clear();
-        self.gauges.lock().expect("obs gauges poisoned").clear();
+    /// Takes a baseline for [`Obs::report_since`]. Nothing is cleared:
+    /// readers of the cumulative registry (health checks, `/metrics`)
+    /// are unaffected.
+    pub fn mark(&self) -> ObsMark {
+        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        ObsMark {
+            epoch,
+            base: self.report(),
+        }
+    }
+
+    /// What was recorded after `mark`: only metrics touched since then
+    /// appear, counters and phase counts/totals as deltas, gauges at
+    /// their current level. A phase that already existed at the mark
+    /// keeps its lifetime min/max.
+    pub fn report_since(&self, mark: &ObsMark) -> ObsReport {
+        let mut report = self.report_touched_since(mark.epoch);
+        for (name, v) in &mut report.counters {
+            *v -= mark.base.counter(name).unwrap_or(0);
+        }
+        for (name, p) in &mut report.phases {
+            if let Some(b) = mark.base.phase(name) {
+                p.count -= b.count;
+                p.total -= b.total;
+            }
+        }
+        report
     }
 }
 
@@ -308,23 +339,6 @@ pub struct ObsReport {
     /// ambient state (file sizes, live bytes) and are excluded from
     /// determinism comparisons, which look only at `counters`.
     pub gauges: Vec<(String, u64)>,
-}
-
-/// JSON string escaping for metric names (ours are plain ASCII, but be
-/// correct anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl ObsReport {
@@ -367,22 +381,15 @@ impl ObsReport {
                 );
             }
         }
-        if !self.counters.is_empty() {
-            if !self.phases.is_empty() {
-                out.push('\n');
-            }
-            let _ = writeln!(out, "{:<40} {:>14}", "counter", "value");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "{name:<40} {v:>14}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            let _ = writeln!(out, "{:<40} {:>14}", "gauge", "value");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "{name:<40} {v:>14}");
+        for (kind, values) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            if !values.is_empty() {
+                if !out.is_empty() {
+                    out.push('\n');
+                }
+                let _ = writeln!(out, "{kind:<40} {:>14}", "value");
+                for (name, v) in values {
+                    let _ = writeln!(out, "{name:<40} {v:>14}");
+                }
             }
         }
         if out.is_empty() {
@@ -394,39 +401,37 @@ impl ObsReport {
     /// Machine-readable JSON (`--profile=json`): an object with
     /// `counters` (name → integer) and `phases` (name → ns stats).
     pub fn render_json(&self) -> String {
-        let mut s = String::from("{\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(s, "{sep}    \"{}\": {v}", json_escape(name));
+        fn object<T>(
+            s: &mut String,
+            key: &str,
+            items: &[(String, T)],
+            value: impl Fn(&T) -> String,
+        ) {
+            let _ = write!(s, "  \"{key}\": {{");
+            for (i, (name, v)) in items.iter().enumerate() {
+                let sep = if i == 0 { "\n" } else { ",\n" };
+                let _ = write!(s, "{sep}    \"{}\": {}", json::escape(name), value(v));
+            }
+            if !items.is_empty() {
+                s.push_str("\n  ");
+            }
+            s.push('}');
         }
-        if !self.counters.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("},\n  \"phases\": {");
-        for (i, (name, p)) in self.phases.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                s,
-                "{sep}    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                json_escape(name),
+        let mut s = String::from("{\n");
+        object(&mut s, "counters", &self.counters, u64::to_string);
+        s.push_str(",\n");
+        object(&mut s, "phases", &self.phases, |p| {
+            format!(
+                "{{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
                 p.count,
                 p.total.as_nanos(),
                 p.min.as_nanos(),
                 p.max.as_nanos(),
-            );
-        }
-        if !self.phases.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("},\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(s, "{sep}    \"{}\": {v}", json_escape(name));
-        }
-        if !self.gauges.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("}\n}\n");
+            )
+        });
+        s.push_str(",\n");
+        object(&mut s, "gauges", &self.gauges, u64::to_string);
+        s.push_str("\n}\n");
         s
     }
 
@@ -457,8 +462,40 @@ mod tests {
         assert_eq!(rep.counter("a"), Some(3));
         assert_eq!(rep.counter("b"), Some(5));
         assert_eq!(rep.counter("missing"), None);
-        obs.reset();
-        assert!(obs.report().counters.is_empty());
+        let mark = obs.mark();
+        assert!(obs.report_since(&mark).counters.is_empty());
+        obs.add("b", 1);
+        obs.add("c", 0);
+        let since = obs.report_since(&mark);
+        assert_eq!(since.counters, [("b".into(), 1), ("c".into(), 0)]);
+        assert_eq!(
+            obs.report().counter("b"),
+            Some(6),
+            "the registry itself is cumulative"
+        );
+    }
+
+    /// A mark never clears what other readers rely on; the view since
+    /// it holds only metrics touched afterwards, as deltas.
+    #[test]
+    fn report_since_a_mark_is_a_delta_of_touched_metrics() {
+        let obs = Obs::new();
+        obs.add("storage.crc_fail", 1);
+        obs.set_gauge("storage.wal_size", 99);
+        obs.record("p", Duration::from_millis(5));
+        let mark = obs.mark();
+        obs.record("p", Duration::from_millis(2));
+        obs.set_gauge("g", 3);
+        let since = obs.report_since(&mark);
+        assert_eq!(since.counter("storage.crc_fail"), None);
+        assert_eq!(since.gauge("storage.wal_size"), None);
+        assert_eq!(since.gauge("g"), Some(3));
+        let p = since.phase("p").unwrap();
+        assert_eq!((p.count, p.total), (1, Duration::from_millis(2)));
+        let all = obs.report();
+        assert_eq!(all.counter("storage.crc_fail"), Some(1));
+        assert_eq!(all.gauge("storage.wal_size"), Some(99));
+        assert_eq!(all.phase("p").unwrap().count, 2);
     }
 
     #[test]
@@ -609,7 +646,7 @@ mod tests {
         assert!(text.contains("x.y"), "{text}");
         assert!(text.contains("ph"), "{text}");
         assert!(text.contains("g.level"), "{text}");
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        assert_eq!(json::escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
         // Empty report renders without panicking.
         assert!(ObsReport::default().render_json().contains("counters"));
         assert!(ObsReport::default()

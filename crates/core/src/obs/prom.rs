@@ -80,22 +80,21 @@ fn by_family<T: Clone>(pairs: &[(String, T)]) -> BTreeMap<String, Vec<(Option<St
 /// this with [`validate_prometheus`].
 pub fn render(report: &ObsReport) -> String {
     let mut s = String::new();
-    for (family, samples) in by_family(&report.counters) {
-        let _ = writeln!(
-            s,
-            "# HELP gql_{family}_total Deterministic pipeline counter.\n# TYPE gql_{family}_total counter"
-        );
-        for (index, v) in samples {
-            let _ = writeln!(s, "gql_{family}_total{} {v}", label_suffix(&index));
-        }
-    }
-    for (family, samples) in by_family(&report.gauges) {
-        let _ = writeln!(
-            s,
-            "# HELP gql_{family} Last observed value.\n# TYPE gql_{family} gauge"
-        );
-        for (index, v) in samples {
-            let _ = writeln!(s, "gql_{family}{} {v}", label_suffix(&index));
+    for (values, suffix, help, kind) in [
+        (
+            &report.counters,
+            "_total",
+            "Deterministic pipeline counter.",
+            "counter",
+        ),
+        (&report.gauges, "", "Last observed value.", "gauge"),
+    ] {
+        for (family, samples) in by_family(values) {
+            let name = format!("gql_{family}{suffix}");
+            let _ = writeln!(s, "# HELP {name} {help}\n# TYPE {name} {kind}");
+            for (index, v) in samples {
+                let _ = writeln!(s, "{name}{} {v}", label_suffix(&index));
+            }
         }
     }
     for (family, samples) in by_family(&report.phases) {
@@ -108,29 +107,16 @@ pub fn render(report: &ObsReport) -> String {
             let _ = writeln!(s, "gql_{family}_seconds_count{l} {}", p.count);
             let _ = writeln!(s, "gql_{family}_seconds_sum{l} {}", p.total.as_secs_f64());
         }
-        let _ = writeln!(
-            s,
-            "# HELP gql_{family}_seconds_min Shortest recorded span.\n# TYPE gql_{family}_seconds_min gauge"
-        );
-        for (index, p) in &samples {
+        for (stat, help) in [("min", "Shortest"), ("max", "Longest")] {
             let _ = writeln!(
                 s,
-                "gql_{family}_seconds_min{} {}",
-                label_suffix(index),
-                p.min.as_secs_f64()
+                "# HELP gql_{family}_seconds_{stat} {help} recorded span.\n# TYPE gql_{family}_seconds_{stat} gauge"
             );
-        }
-        let _ = writeln!(
-            s,
-            "# HELP gql_{family}_seconds_max Longest recorded span.\n# TYPE gql_{family}_seconds_max gauge"
-        );
-        for (index, p) in &samples {
-            let _ = writeln!(
-                s,
-                "gql_{family}_seconds_max{} {}",
-                label_suffix(index),
-                p.max.as_secs_f64()
-            );
+            for (index, p) in &samples {
+                let d = if stat == "min" { p.min } else { p.max };
+                let l = label_suffix(index);
+                let _ = writeln!(s, "gql_{family}_seconds_{stat}{l} {}", d.as_secs_f64());
+            }
         }
     }
     s

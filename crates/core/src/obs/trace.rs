@@ -1,49 +1,40 @@
-//! Per-query structured tracing: timestamped begin/end events with
-//! thread ids and typed arguments, exportable as Chrome trace-event
-//! JSON (loadable in Perfetto / `chrome://tracing`).
+//! Per-query structured tracing: timestamped span events with thread
+//! ids and typed arguments, exportable as Chrome trace-event JSON
+//! (loadable in Perfetto / `chrome://tracing`).
 //!
-//! Where [`super::Obs`] aggregates counters and phase totals across a
-//! whole run, a [`TraceSink`] records *individual* events — one
-//! retrieval per pattern node, one refinement level, one search chunk
-//! per worker — so per-query questions ("which pattern node's candidate
-//! set exploded?", "did refinement pay for itself?") have answers on a
-//! timeline.
-//!
-//! Design rules mirror the registry's:
-//!
-//! - **Disabled means free.** Pipeline code holds an
-//!   `Option<Arc<TraceSink>>`; `None` is a skipped branch. Events are
-//!   coarse (per phase / pattern node / refine level / search chunk),
-//!   never per candidate.
-//! - **Per-thread buffers.** Each recording thread is assigned a small
-//!   integer id (stable for the thread's lifetime) and appends to a
-//!   sharded buffer selected by that id, so concurrent workers almost
-//!   never contend on a lock; the export pass merges and time-sorts.
-//! - **Std-only.** No serde: the Chrome trace-event format is flat
-//!   enough to emit by hand, and [`super::json`] checks well-formedness
-//!   in tests.
+//! Where [`super::Obs`] aggregates phase totals across a run, the trace
+//! keeps *individual* spans — one retrieval per pattern node, one
+//! refinement level, one search chunk per worker — so per-query
+//! questions ("which pattern node's candidate set exploded?") have
+//! answers on a timeline. Events come only from closing a
+//! [`Span`](super::telemetry::Span) on a tracing
+//! [`Telemetry`](super::telemetry::Telemetry) handle; spans are coarse
+//! (never per candidate), so one mutex-guarded buffer serves every
+//! worker thread.
 //!
 //! ```
-//! use gql_core::obs::trace::{ArgValue, TraceSink};
+//! use gql_core::obs::telemetry::{Span, Telemetry};
+//! use gql_core::ArgValue;
 //!
-//! let sink = TraceSink::new();
-//! {
-//!     let mut span = sink.span("match.search", "match");
-//!     span.arg("steps", ArgValue::UInt(42));
-//! } // records a complete ("X") event on drop
-//! let json = sink.render_chrome_json();
+//! let tel = Telemetry::new().with_tracing();
+//! let mut span = Span::phase(Some(&tel), "match.search", "match");
+//! span.arg("steps", ArgValue::UInt(42));
+//! span.finish(); // records a complete ("X") event
+//! let json = tel.render_chrome_json();
 //! assert!(json.contains("\"traceEvents\""));
 //! assert!(json.contains("\"match.search\""));
 //! ```
 
-use std::fmt;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-/// A typed event argument (rendered without quotes for numbers and
-/// booleans, quoted and escaped for strings).
+use super::json;
+
+/// A typed span argument (rendered without quotes for numbers and
+/// booleans, quoted and escaped for strings). The same values are trace
+/// event args and EXPLAIN node props.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// Signed integer.
@@ -60,27 +51,16 @@ pub enum ArgValue {
 }
 
 impl ArgValue {
-    fn render_json(&self, out: &mut String) {
-        match self {
-            ArgValue::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            ArgValue::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
-            ArgValue::Float(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            ArgValue::Float(v) => {
-                let _ = write!(out, "\"{v}\"");
-            }
-            ArgValue::Str(s) => {
-                let _ = write!(out, "\"{}\"", super::json_escape(s));
-            }
-            ArgValue::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-        }
+    /// Appends the value as a JSON literal.
+    pub(crate) fn render_json(&self, out: &mut String) {
+        let _ = match self {
+            ArgValue::Int(v) => write!(out, "{v}"),
+            ArgValue::UInt(v) => write!(out, "{v}"),
+            ArgValue::Float(v) if v.is_finite() => write!(out, "{v}"),
+            ArgValue::Float(v) => write!(out, "\"{v}\""),
+            ArgValue::Str(s) => write!(out, "\"{}\"", json::escape(s)),
+            ArgValue::Bool(b) => write!(out, "{b}"),
+        };
     }
 
     /// The value as it appears in the operator-tree text rendering.
@@ -95,38 +75,22 @@ impl ArgValue {
     }
 }
 
-/// Event phase, following the Chrome trace-event vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A span with a duration (`"ph": "X"`).
-    Complete,
-    /// A point in time (`"ph": "i"`).
-    Instant,
-}
-
-/// One recorded trace event.
+/// One recorded span ("complete" event in the Chrome vocabulary).
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// Event name (e.g. `match.search`, `refine.level`).
+    /// Event name (e.g. `match.search`, `refine.level[1]`).
     pub name: String,
     /// Category, used by trace viewers to group/filter rows.
     pub cat: &'static str,
-    /// Complete span or instant marker.
-    pub kind: EventKind,
-    /// Start time in nanoseconds since the sink's epoch.
+    /// Start time in nanoseconds since the buffer was created.
     pub ts_ns: u64,
-    /// Duration in nanoseconds (0 for instants).
+    /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Recording thread's sink-assigned id.
+    /// Recording thread's id.
     pub tid: u64,
     /// Typed arguments shown in the viewer's detail pane.
     pub args: Vec<(&'static str, ArgValue)>,
 }
-
-/// Number of per-thread buffer shards. Worker pools here are sized by
-/// core count; 16 shards keep same-shard collisions rare, and a
-/// collision only costs brief mutex contention, never corruption.
-const SHARDS: usize = 16;
 
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -134,284 +98,193 @@ thread_local! {
     static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A small integer id for the calling thread, stable for the thread's
-/// lifetime and unique across the process (ids are assigned in first-use
-/// order, so thread 1 is whichever thread traced first).
-pub fn thread_id() -> u64 {
-    THREAD_ID.with(|id| *id)
-}
-
-/// A per-query (or per-run) event collector with per-thread sharded
-/// buffers. Share it via `Arc`; recording takes one uncontended mutex
-/// push per event.
-pub struct TraceSink {
+/// The event buffer behind a tracing
+/// [`Telemetry`](super::telemetry::Telemetry) handle. Timestamps count
+/// from the buffer's creation; thread ids are small integers assigned
+/// in first-use order, stable for a thread's lifetime.
+pub(crate) struct TraceLog {
     epoch: Instant,
-    shards: Vec<Mutex<Vec<TraceEvent>>>,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
-impl fmt::Debug for TraceSink {
+impl fmt::Debug for TraceLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TraceSink({} events)", self.len())
+        let n = self.events.lock().map_or(0, |v| v.len());
+        write!(f, "TraceLog({n} events)")
     }
 }
 
-impl Default for TraceSink {
-    fn default() -> Self {
-        TraceSink {
+impl TraceLog {
+    pub(crate) fn new() -> TraceLog {
+        TraceLog {
             epoch: Instant::now(),
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            events: Mutex::default(),
         }
     }
-}
 
-impl TraceSink {
-    /// A fresh sink behind an `Arc` (the shape every pipeline layer
-    /// consumes). Its epoch — the zero of every event timestamp — is
-    /// the moment of creation.
-    pub fn new() -> Arc<TraceSink> {
-        Arc::new(TraceSink::default())
-    }
-
-    /// Total events recorded so far.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("trace shard poisoned").len())
-            .sum()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push(&self, ev: TraceEvent) {
-        let shard = (ev.tid as usize) % SHARDS;
-        self.shards[shard]
-            .lock()
-            .expect("trace shard poisoned")
-            .push(ev);
-    }
-
-    fn since_epoch(&self, t: Instant) -> u64 {
-        u64::try_from(t.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Records a complete ("X") event that started at `start` and ends
-    /// now.
-    pub fn complete(
+    /// Records a span that started at `start` and lasted `dur`, on the
+    /// calling thread.
+    pub(crate) fn push(
         &self,
-        name: impl Into<String>,
+        name: String,
         cat: &'static str,
         start: Instant,
+        dur: Duration,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        let ts_ns = self.since_epoch(start);
-        let dur_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.push(TraceEvent {
-            name: name.into(),
+        let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        let event = TraceEvent {
+            name,
             cat,
-            kind: EventKind::Complete,
-            ts_ns,
-            dur_ns,
-            tid: thread_id(),
+            ts_ns: nanos(start.saturating_duration_since(self.epoch)),
+            dur_ns: nanos(dur),
+            tid: THREAD_ID.with(|id| *id),
             args,
-        });
+        };
+        self.events.lock().expect("trace poisoned").push(event);
     }
 
-    /// Records an instant ("i") event at the current time.
-    pub fn instant(
-        &self,
-        name: impl Into<String>,
-        cat: &'static str,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        self.push(TraceEvent {
-            name: name.into(),
-            cat,
-            kind: EventKind::Instant,
-            ts_ns: self.since_epoch(Instant::now()),
-            dur_ns: 0,
-            tid: thread_id(),
-            args,
-        });
-    }
-
-    /// Starts a span; the complete event is recorded when the returned
-    /// guard drops. Attach arguments with [`TraceSpan::arg`].
-    pub fn span(&self, name: impl Into<String>, cat: &'static str) -> TraceSpan<'_> {
-        TraceSpan {
-            sink: self,
-            name: name.into(),
-            cat,
-            start: Instant::now(),
-            args: Vec::new(),
-        }
-    }
-
-    /// A merged, time-sorted snapshot of every recorded event (the
-    /// buffers are left intact; export is an end-of-run operation).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = Vec::new();
-        for shard in &self.shards {
-            all.extend(shard.lock().expect("trace shard poisoned").iter().cloned());
-        }
+    /// Every event recorded so far, sorted by start time.
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
+        let mut all = self.events.lock().expect("trace poisoned").clone();
         all.sort_by_key(|e| (e.ts_ns, e.tid, e.dur_ns));
         all
     }
+}
 
-    /// Renders the whole sink as a Chrome trace-event JSON document
-    /// (the object form: `{"traceEvents": [...]}`), loadable in
-    /// Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`.
-    /// Timestamps and durations are microseconds with nanosecond
-    /// precision, as the format specifies.
-    pub fn render_chrome_json(&self) -> String {
-        let events = self.events();
-        let mut s = String::from(
-            "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n\
-             {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \
-             \"args\": {\"name\": \"gql\"}}",
+/// Renders `events` as a Chrome trace-event JSON document (the object
+/// form: `{"traceEvents": [...]}`), loadable in Perfetto
+/// (<https://ui.perfetto.dev>) and `chrome://tracing`. Timestamps and
+/// durations are microseconds with nanosecond precision, as the format
+/// specifies.
+pub(crate) fn render_chrome_json(events: &[TraceEvent]) -> String {
+    let mut s = String::from(
+        "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n\
+         {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": 0, \
+         \"args\": {\"name\": \"gql\"}}",
+    );
+    for e in events {
+        let _ = write!(
+            s,
+            ",\n{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 0, \
+             \"tid\": {}, \"ts\": {}.{:03}, \"dur\": {}.{:03}",
+            json::escape(&e.name),
+            json::escape(e.cat),
+            e.tid,
+            e.ts_ns / 1000,
+            e.ts_ns % 1000,
+            e.dur_ns / 1000,
+            e.dur_ns % 1000,
         );
-        for e in &events {
-            s.push_str(",\n");
-            let _ = write!(
-                s,
-                "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"{}\", \"pid\": 0, \
-                 \"tid\": {}, \"ts\": {}.{:03}",
-                super::json_escape(&e.name),
-                super::json_escape(e.cat),
-                match e.kind {
-                    EventKind::Complete => "X",
-                    EventKind::Instant => "i",
-                },
-                e.tid,
-                e.ts_ns / 1000,
-                e.ts_ns % 1000,
-            );
-            if e.kind == EventKind::Complete {
-                let _ = write!(s, ", \"dur\": {}.{:03}", e.dur_ns / 1000, e.dur_ns % 1000);
-            } else {
-                s.push_str(", \"s\": \"t\"");
-            }
-            if !e.args.is_empty() {
-                s.push_str(", \"args\": {");
-                for (i, (k, v)) in e.args.iter().enumerate() {
-                    if i > 0 {
-                        s.push_str(", ");
-                    }
-                    let _ = write!(s, "\"{}\": ", super::json_escape(k));
-                    v.render_json(&mut s);
+        if !e.args.is_empty() {
+            s.push_str(", \"args\": {");
+            for (i, (k, v)) in e.args.iter().enumerate() {
+                if i > 0 {
+                    s.push_str(", ");
                 }
-                s.push('}');
+                let _ = write!(s, "\"{}\": ", json::escape(k));
+                v.render_json(&mut s);
             }
             s.push('}');
         }
-        s.push_str("\n]\n}\n");
-        s
+        s.push('}');
     }
-}
-
-/// An in-flight trace span; records a complete event into the sink on
-/// drop.
-pub struct TraceSpan<'a> {
-    sink: &'a TraceSink,
-    name: String,
-    cat: &'static str,
-    start: Instant,
-    args: Vec<(&'static str, ArgValue)>,
-}
-
-impl TraceSpan<'_> {
-    /// Attaches a typed argument to the event recorded at drop.
-    pub fn arg(&mut self, key: &'static str, value: ArgValue) {
-        self.args.push((key, value));
-    }
-}
-
-impl Drop for TraceSpan<'_> {
-    fn drop(&mut self) {
-        let ts_ns = self.sink.since_epoch(self.start);
-        let dur_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.sink.push(TraceEvent {
-            name: std::mem::take(&mut self.name),
-            cat: self.cat,
-            kind: EventKind::Complete,
-            ts_ns,
-            dur_ns,
-            tid: thread_id(),
-            args: std::mem::take(&mut self.args),
-        });
-    }
+    s.push_str("\n]\n}\n");
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obs::json::validate_json;
+    use std::sync::Arc;
+
+    fn args(v: ArgValue) -> Vec<(&'static str, ArgValue)> {
+        vec![("v", v)]
+    }
 
     #[test]
-    fn spans_and_instants_record_events() {
-        let sink = TraceSink::new();
-        {
-            let mut span = sink.span("phase.a", "match");
-            span.arg("candidates", ArgValue::UInt(10));
-            span.arg("ratio", ArgValue::Float(0.5));
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        sink.instant("marker", "engine", vec![("node", ArgValue::Int(3))]);
-        sink.complete(
-            "phase.b",
+    fn spans_record_events_with_args() {
+        let log = TraceLog::new();
+        let start = Instant::now();
+        std::thread::sleep(Duration::from_millis(1));
+        log.push(
+            "phase.a".into(),
+            "match",
+            start,
+            start.elapsed(),
+            vec![
+                ("candidates", ArgValue::UInt(10)),
+                ("ratio", ArgValue::Float(0.5)),
+            ],
+        );
+        log.push(
+            "phase.b".into(),
             "match",
             Instant::now(),
-            vec![("label", ArgValue::Str("A\"B".into()))],
+            Duration::ZERO,
+            args(ArgValue::Str("A\"B".into())),
         );
-        assert_eq!(sink.len(), 3);
-        let events = sink.events();
-        // Sorted by timestamp: the span started first.
+        let events = log.events();
+        assert_eq!(events.len(), 2);
+        // Sorted by timestamp: the first span started first.
         assert_eq!(events[0].name, "phase.a");
         assert!(events[0].dur_ns >= 1_000_000, "{:?}", events[0]);
         assert_eq!(events[0].args[0], ("candidates", ArgValue::UInt(10)));
-        let json = sink.render_chrome_json();
+        let json = render_chrome_json(&events);
         validate_json(&json).expect("chrome trace must be well-formed JSON");
         assert!(json.contains("\"traceEvents\""), "{json}");
         assert!(json.contains("\"ph\": \"X\""), "{json}");
-        assert!(json.contains("\"ph\": \"i\""), "{json}");
         assert!(json.contains("\"A\\\"B\""), "{json}");
     }
 
     #[test]
     fn concurrent_recording_keeps_every_event_with_distinct_tids() {
-        let sink = TraceSink::new();
+        let log = Arc::new(TraceLog::new());
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let sink = Arc::clone(&sink);
+                let log = Arc::clone(&log);
                 s.spawn(move || {
                     for i in 0..100u64 {
-                        sink.instant("tick", "test", vec![("i", ArgValue::UInt(i))]);
+                        log.push(
+                            "tick".into(),
+                            "test",
+                            Instant::now(),
+                            Duration::ZERO,
+                            args(ArgValue::UInt(i)),
+                        );
                     }
                 });
             }
         });
-        assert_eq!(sink.len(), 800);
-        let tids: std::collections::BTreeSet<u64> = sink.events().iter().map(|e| e.tid).collect();
+        let events = log.events();
+        assert_eq!(events.len(), 800);
+        let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 8, "each worker gets its own thread id");
-        validate_json(&sink.render_chrome_json()).unwrap();
+        validate_json(&render_chrome_json(&events)).unwrap();
     }
 
     #[test]
     fn empty_sink_renders_metadata_only() {
-        let sink = TraceSink::new();
-        assert!(sink.is_empty());
-        let json = sink.render_chrome_json();
+        let log = TraceLog::new();
+        assert!(log.events().is_empty());
+        let json = render_chrome_json(&log.events());
         validate_json(&json).unwrap();
         assert!(json.contains("process_name"), "{json}");
     }
 
     #[test]
     fn nonfinite_floats_render_as_strings() {
-        let sink = TraceSink::new();
-        sink.instant("x", "t", vec![("nan", ArgValue::Float(f64::NAN))]);
-        let json = sink.render_chrome_json();
+        let log = TraceLog::new();
+        let now = Instant::now();
+        log.push(
+            "x".into(),
+            "t",
+            now,
+            Duration::ZERO,
+            args(ArgValue::Float(f64::NAN)),
+        );
+        let json = render_chrome_json(&log.events());
         validate_json(&json).expect("NaN must not leak as a bare literal");
         assert!(json.contains("\"NaN\""), "{json}");
     }

@@ -2,12 +2,14 @@
 //! variables, and program execution (§3.4's FLWR semantics).
 
 use crate::error::{EngineError, Result};
-use crate::metrics::{MetricsRegistry, SlowEntry};
+use crate::metrics::{MetricsRegistry, SlowQuery};
 use crate::server::MetricsServer;
 use gql_algebra::{compile_pattern, ops, CompiledPattern, PatternRegistry, TemplateEnv};
 use gql_core::storage::{encode_collection, encode_graph};
 use gql_core::FeedbackStore;
-use gql_core::{ArgValue, ExplainNode, Graph, GraphCollection, Obs, ObsReport, TraceSink};
+use gql_core::{
+    ArgValue, ExplainNode, Graph, GraphCollection, ObsMark, ObsReport, Span, Telemetry,
+};
 use gql_match::{GraphIndex, GraphSnapshot, IndexParts, MatchOptions, Pattern, Planner};
 use gql_parser::ast::{FlwrAst, FlwrBody, GraphTemplateAst, PatternRef, Program, Statement};
 use gql_parser::parse_program;
@@ -16,7 +18,7 @@ use rustc_hash::FxHashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Result of executing a program: every `return` clause contributes one
 /// collection, in order.
@@ -26,25 +28,6 @@ pub struct ExecOutcome {
     /// statement with a `return` body; each entry has one graph per
     /// match).
     pub returned: Vec<GraphCollection>,
-}
-
-/// One slow-query log entry: a FLWR statement whose wall-clock time met
-/// the [`Database::set_slow_query_threshold`] threshold, captured with
-/// its `EXPLAIN ANALYZE` operator tree.
-#[derive(Debug, Clone)]
-pub struct SlowQuery {
-    /// Query id shared with the statement's EXPLAIN tree (`query_id`
-    /// prop), trace events, and the `/slow` endpoint — the correlation
-    /// key across all telemetry surfaces.
-    pub id: u64,
-    /// Name of the pattern the `for` clause matched.
-    pub pattern: String,
-    /// Name of the collection queried.
-    pub source: String,
-    /// Wall-clock time of the whole FLWR statement.
-    pub elapsed: Duration,
-    /// The statement's `EXPLAIN ANALYZE` tree.
-    pub explain: ExplainNode,
 }
 
 /// The index configuration this engine builds (and therefore
@@ -96,16 +79,21 @@ pub struct Database {
     /// still overrides the `exhaustive` field per query). The engine
     /// default skips the §5 baseline-space recomputation — it never
     /// reads the ratio report — and runs single-threaded; see
-    /// [`Database::with_threads`].
+    /// [`Database::with_threads`]. Its `telemetry` handle is what the
+    /// `enable_*` methods, [`Database::set_slow_query_threshold`] and
+    /// [`Database::serve_metrics`] switch on.
     pub options: MatchOptions,
     /// `EXPLAIN ANALYZE` trees of executed FLWR statements, collected in
-    /// execution order while [`Database::enable_explain`] is on.
-    explain_trees: Vec<ExplainNode>,
+    /// execution order once [`Database::enable_explain`] was called
+    /// (the handle also builds trees for the slow-query log alone).
+    explain_trees: Option<Vec<ExplainNode>>,
     /// Wall-clock threshold above which a FLWR statement is logged with
-    /// its ANALYZE tree (`None` = slow-query log off).
+    /// its ANALYZE tree in the registry's slow ring (`None` = slow-query
+    /// log off).
     slow_threshold: Option<Duration>,
-    /// Statements that met the threshold, in execution order.
-    slow_log: Vec<SlowQuery>,
+    /// Baseline of the registry taken by [`Database::enable_profiling`];
+    /// the profile report is everything recorded since.
+    profile: Option<ObsMark>,
     /// Attached persistence layer ([`Database::open`]); `None` for an
     /// in-memory database. Mutations are WAL-logged as they happen;
     /// [`Database::checkpoint`] folds them into a segment.
@@ -149,9 +137,9 @@ impl Database {
                 report_baseline_space: false,
                 ..MatchOptions::default()
             },
-            explain_trees: Vec::new(),
+            explain_trees: None,
             slow_threshold: None,
-            slow_log: Vec::new(),
+            profile: None,
             store: None,
             store_error: None,
             mapped: false,
@@ -187,8 +175,7 @@ impl Database {
         // counters, and the size gauges land in the same Obs the live
         // endpoints serve.
         let mut db = Database::new();
-        let (store, restored) =
-            Store::open_observed(dir, opts, Some(Arc::clone(db.metrics.obs())))?;
+        let (store, restored) = Store::open_observed(dir, opts, Arc::clone(db.metrics.obs()))?;
         db.mapped = restored.mapped;
         let adopt = restored.options.as_ref() == Some(&STORED_OPTIONS);
         for rc in restored.collections {
@@ -368,18 +355,25 @@ impl Database {
         self.snapshots.get(source)
     }
 
-    /// Attaches the metrics registry's [`Obs`] with a clean slate:
-    /// every counter/phase/gauge recorded so far (including open-time
-    /// storage metrics) is cleared, and every subsequent query records
-    /// per-phase timings and pipeline counters from zero. Returns the
-    /// sink handle (also retrievable via [`Database::obs`]); the same
-    /// `Obs` backs the live endpoints, so a scrape during a profiled
-    /// run sees the per-query metrics too.
-    pub fn enable_profiling(&mut self) -> Arc<Obs> {
+    /// Rebuilds the engine's telemetry handle with one more output on
+    /// (the registry and any trace buffer carry over) and returns it.
+    fn retool(&mut self, f: impl FnOnce(Telemetry) -> Telemetry) -> Arc<Telemetry> {
+        let current = self.options.telemetry.as_deref().cloned();
+        let tel = Arc::new(f(current.unwrap_or_default()));
+        self.options.telemetry = Some(Arc::clone(&tel));
+        tel
+    }
+
+    /// Starts a profile: every subsequent query records per-phase
+    /// timings and pipeline counters into the metrics registry, and
+    /// [`Database::profile_report`] reports what was recorded from now
+    /// on (open-time storage metrics excluded). The registry itself is
+    /// not cleared, so health signals and `/metrics` keep their
+    /// lifetime values.
+    pub fn enable_profiling(&mut self) {
         let obs = Arc::clone(self.metrics.obs());
-        obs.reset();
-        self.options.obs = Some(Arc::clone(&obs));
-        obs
+        self.profile = Some(obs.mark());
+        self.retool(|t| t.with_obs(obs));
     }
 
     /// The always-on metrics plane: storage-layer metrics, query-id
@@ -391,13 +385,13 @@ impl Database {
 
     /// Starts the live telemetry endpoints on `addr` (`/metrics`,
     /// `/healthz`, `/slow`; port 0 picks an ephemeral port — the bound
-    /// address is returned). The registry's [`Obs`] is attached as the
-    /// query-pipeline sink *without* resetting it, so accumulated
-    /// storage metrics survive and subsequent queries aggregate into
-    /// the same registry. The server runs on a background thread and
-    /// answers mid-query; it stops when the database is dropped.
+    /// address is returned). Subsequent queries aggregate into the
+    /// registry the endpoints read. The server runs on a background
+    /// thread and answers mid-query; it stops when the database is
+    /// dropped.
     pub fn serve_metrics(&mut self, addr: impl ToSocketAddrs) -> Result<SocketAddr> {
-        self.options.obs = Some(Arc::clone(self.metrics.obs()));
+        let obs = Arc::clone(self.metrics.obs());
+        self.retool(|t| t.with_obs(obs));
         let server = crate::server::serve(Arc::clone(&self.metrics), addr)
             .map_err(|e| EngineError::Metrics(e.to_string()))?;
         let addr = server.addr();
@@ -410,60 +404,55 @@ impl Database {
         self.metrics_server.as_ref().map(|s| s.addr())
     }
 
-    /// The attached observability registry, if profiling is enabled.
-    pub fn obs(&self) -> Option<&Arc<Obs>> {
-        self.options.obs.as_ref()
-    }
-
-    /// Snapshot of all metrics recorded so far (empty report when
-    /// profiling was never enabled).
+    /// What queries recorded since [`Database::enable_profiling`] (the
+    /// whole registry when only a metrics server attached it; empty
+    /// when neither did).
     pub fn profile_report(&self) -> ObsReport {
-        self.options
-            .obs
-            .as_ref()
-            .map(|o| o.report())
-            .unwrap_or_default()
+        let Some(obs) = self.options.telemetry.as_deref().and_then(Telemetry::obs) else {
+            return ObsReport::default();
+        };
+        match &self.profile {
+            Some(mark) => obs.report_since(mark),
+            None => obs.report(),
+        }
     }
 
-    /// Attaches a fresh trace sink: every subsequent query records
-    /// per-phase and fine-grained events into it (exportable as Chrome
-    /// trace-event JSON via [`TraceSink::render_chrome_json`]). Returns
-    /// the sink handle (also retrievable via [`Database::trace_sink`]).
-    pub fn enable_tracing(&mut self) -> Arc<TraceSink> {
-        let sink = TraceSink::new();
-        self.options.trace = Some(Arc::clone(&sink));
-        sink
-    }
-
-    /// The attached trace sink, if tracing is enabled.
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.options.trace.as_ref()
+    /// Starts a fresh trace buffer: every subsequent query records
+    /// per-phase and fine-grained events into it. Returns the telemetry
+    /// handle whose [`Telemetry::events`] /
+    /// [`Telemetry::render_chrome_json`] export them.
+    pub fn enable_tracing(&mut self) -> Arc<Telemetry> {
+        self.retool(Telemetry::with_tracing)
     }
 
     /// Turns on `EXPLAIN ANALYZE` collection: each executed FLWR
     /// statement appends its operator tree to
     /// [`Database::explain_trees`].
     pub fn enable_explain(&mut self) {
-        self.options.explain = true;
+        self.explain_trees.get_or_insert_with(Vec::new);
+        self.retool(Telemetry::with_explain);
     }
 
     /// Operator trees of the FLWR statements executed since explain was
     /// enabled, in execution order.
     pub fn explain_trees(&self) -> &[ExplainNode] {
-        &self.explain_trees
+        self.explain_trees.as_deref().unwrap_or_default()
     }
 
     /// Enables the slow-query log: any FLWR statement whose wall-clock
-    /// time reaches `threshold` is recorded in
-    /// [`Database::slow_queries`] together with its `EXPLAIN ANALYZE`
-    /// tree (captured automatically — explain need not be enabled).
+    /// time reaches `threshold` is recorded in the registry's bounded
+    /// slow ring together with its `EXPLAIN ANALYZE` tree (captured
+    /// automatically — explain need not be enabled).
     pub fn set_slow_query_threshold(&mut self, threshold: Duration) {
         self.slow_threshold = Some(threshold);
+        self.retool(Telemetry::with_explain);
     }
 
-    /// Statements that met the slow-query threshold, in execution order.
-    pub fn slow_queries(&self) -> &[SlowQuery] {
-        &self.slow_log
+    /// The most recent statements that met the slow-query threshold,
+    /// oldest first — at most [`SLOW_RING_CAP`](crate::metrics::SLOW_RING_CAP)
+    /// of [`MetricsRegistry::slow_total`].
+    pub fn slow_queries(&self) -> Vec<SlowQuery> {
+        self.metrics.slow_queries()
     }
 
     /// Registers a collection under `name` (the target of
@@ -606,9 +595,6 @@ impl Database {
         opts: &MatchOptions,
     ) -> Result<(Arc<GraphSnapshot>, bool)> {
         if let Some(s) = self.snapshots.get(source) {
-            if let Some(obs) = &opts.obs {
-                obs.add("engine.index_cache.hits", 1);
-            }
             if s.planner().is_some() {
                 return Ok((Arc::clone(s), true));
             }
@@ -624,13 +610,7 @@ impl Database {
             // The checkpoint *is* the cache: adopting it on first touch
             // is a hit, exactly like the pre-lazy behavior where
             // adoption happened at open.
-            if let Some(obs) = &opts.obs {
-                obs.add("engine.index_cache.hits", 1);
-            }
             return Ok((snap, true));
-        }
-        if let Some(obs) = &opts.obs {
-            obs.add("engine.index_cache.misses", 1);
         }
         self.next_generation += 1;
         let snap = ops::build_collection_snapshot(
@@ -688,10 +668,15 @@ impl Database {
     }
 
     fn eval_flwr(&mut self, f: &FlwrAst) -> Result<Option<GraphCollection>> {
-        // Per-statement FLWR timing (covers pattern resolution, σ, and
-        // the return/let body).
-        let started = Instant::now();
-        let _stmt_span = self.options.obs.as_deref().map(|o| o.span("engine.flwr"));
+        // One span over the whole statement (pattern resolution, σ, and
+        // the return/let body), on a handle of this statement's own so
+        // that σ's published tree is this statement's.
+        let tel = self
+            .options
+            .telemetry
+            .as_deref()
+            .map(|t| Arc::new(t.collecting()));
+        let mut flwr = Span::timed(tel.as_deref(), "engine.flwr", "engine");
         // Statement-ordered id correlating this query's slow-log entry,
         // EXPLAIN tree, and trace events (deterministic for a fixed
         // program: thread count and open mode don't reorder statements).
@@ -699,14 +684,14 @@ impl Database {
         // Per-query WAL attribution: the storage layer records into the
         // registry Obs unconditionally, so the delta across this
         // statement is exactly the WAL work it caused.
-        let wal_counters = self.store.is_some().then(|| {
-            let obs = self.metrics.obs();
-            (
-                obs.counter("storage.wal.appends"),
-                obs.counter("storage.wal.append_bytes"),
-            )
-        });
-        let wal_before = wal_counters.as_ref().map(|(a, b)| (a.get(), b.get()));
+        let wal_work = |db: &Database| {
+            let obs = db.metrics.obs();
+            db.store.as_ref().map(|_| {
+                let appends = obs.counter("storage.wal.appends").get();
+                (appends, obs.counter("storage.wal.append_bytes").get())
+            })
+        };
+        let wal_before = wal_work(self);
         // Resolve the pattern.
         let (compiled, pname) = match &f.pattern {
             PatternRef::Named(n) => (
@@ -752,9 +737,7 @@ impl Database {
 
         let mut opts = self.options.clone();
         opts.exhaustive = f.exhaustive;
-        // The slow-query log needs the ANALYZE tree even when explain
-        // was not requested explicitly.
-        opts.explain = opts.explain || self.slow_threshold.is_some();
+        opts.telemetry = tel.clone();
 
         // σ against the collection's immutable snapshot: a stored
         // collection is indexed once and every subsequent query reuses
@@ -762,12 +745,16 @@ impl Database {
         // (`add_collection`/`add_graph` retire the entry on mutation
         // and the next query swaps in the next generation).
         let (snapshot, cached) = self.read_snapshot(&f.source, &opts)?;
+        if let Some(t) = &tel {
+            let cache = if cached { "hits" } else { "misses" };
+            t.count(&format!("engine.index_cache.{cache}"), 1);
+        }
         let collection = &self.collections[&f.source];
-        let (matches, select_explain) =
-            ops::select_with_snapshot_explain(&compiled, collection, &snapshot, &opts)?;
+        let matches = ops::select_with_snapshot(&compiled, collection, &snapshot, &opts)?;
 
         let result = {
-            let _body_span = opts.obs.as_deref().map(|o| o.span("op.compose"));
+            let mut compose = ops::compose_span(&opts);
+            compose.arg("matches", ArgValue::UInt(matches.len() as u64));
             match &f.body {
                 FlwrBody::Return(template) => {
                     let mut out = GraphCollection::new();
@@ -804,67 +791,49 @@ impl Database {
             }
         };
 
-        let elapsed = started.elapsed();
-        if let Some(sel) = select_explain {
-            let mut tree = ExplainNode::new("flwr");
-            tree.prop("query_id", ArgValue::UInt(query_id));
-            tree.prop("pattern", ArgValue::Str(pname.clone()));
-            tree.prop("source", ArgValue::Str(f.source.clone()));
-            tree.prop("exhaustive", ArgValue::Bool(f.exhaustive));
-            tree.prop("matches", ArgValue::UInt(matches.len() as u64));
-            tree.prop("elapsed_ms", ArgValue::Float(elapsed.as_secs_f64() * 1e3));
+        let elapsed = flwr.stop();
+        if flwr.recording() {
+            flwr.arg("query_id", ArgValue::UInt(query_id));
+            flwr.arg("pattern", ArgValue::Str(pname.clone()));
+            flwr.arg("source", ArgValue::Str(f.source.clone()));
+            flwr.arg("exhaustive", ArgValue::Bool(f.exhaustive));
+            flwr.arg("matches", ArgValue::UInt(matches.len() as u64));
+            flwr.arg("elapsed_ms", ArgValue::Float(elapsed.as_secs_f64() * 1e3));
             // WAL work this statement caused (a `let` body logging its
             // final variable state). Deterministic: record counts and
             // byte sizes are logical quantities.
-            if let (Some((appends, bytes)), Some((a0, b0))) = (&wal_counters, wal_before) {
-                let delta = appends.get() - a0;
-                if delta > 0 {
-                    tree.prop("wal_appends", ArgValue::UInt(delta));
-                    tree.prop("wal_bytes", ArgValue::UInt(bytes.get() - b0));
+            if let (Some((a0, b0)), Some((a1, b1))) = (wal_before, wal_work(self)) {
+                if a1 > a0 {
+                    flwr.arg("wal_appends", ArgValue::UInt(a1 - a0));
+                    flwr.arg("wal_bytes", ArgValue::UInt(b1 - b0));
                 }
-            }
-            let mut ix = ExplainNode::new("index");
-            ix.prop("cached", ArgValue::Bool(cached));
-            ix.prop("generation", ArgValue::UInt(snapshot.generation()));
-            ix.prop("graphs", ArgValue::UInt(snapshot.indexes().len() as u64));
-            tree.child(ix);
-            tree.child(sel);
-            if let Some(threshold) = self.slow_threshold {
-                if elapsed >= threshold {
-                    if let Some(obs) = &opts.obs {
-                        obs.add("engine.slow_queries", 1);
-                    }
-                    self.metrics.record_slow(SlowEntry {
-                        id: query_id,
-                        pattern: pname.clone(),
-                        source: f.source.clone(),
-                        elapsed,
-                    });
-                    self.slow_log.push(SlowQuery {
-                        id: query_id,
-                        pattern: pname.clone(),
-                        source: f.source.clone(),
-                        elapsed,
-                        explain: tree.clone(),
-                    });
-                }
-            }
-            if self.options.explain {
-                self.explain_trees.push(tree);
             }
         }
-        if let Some(sink) = &opts.trace {
-            sink.complete(
-                "engine.flwr",
-                "engine",
-                started,
-                vec![
-                    ("query_id", ArgValue::UInt(query_id)),
-                    ("pattern", ArgValue::Str(pname.clone())),
-                    ("source", ArgValue::Str(f.source.clone())),
-                    ("matches", ArgValue::UInt(matches.len() as u64)),
-                ],
-            );
+        if let Some(t) = tel.as_deref().filter(|t| t.explains()) {
+            let mut ix = Span::node(t, "index");
+            ix.arg("cached", ArgValue::Bool(cached));
+            ix.arg("generation", ArgValue::UInt(snapshot.generation()));
+            ix.arg("graphs", ArgValue::UInt(snapshot.indexes().len() as u64));
+            flwr.child(ix.finish());
+            flwr.child(t.take_published());
+        }
+        let slow = self.slow_threshold.is_some_and(|th| elapsed >= th);
+        if slow {
+            flwr.count("engine.slow_queries", 1);
+        }
+        if let Some(tree) = flwr.finish() {
+            if slow {
+                self.metrics.record_slow(SlowQuery {
+                    id: query_id,
+                    pattern: pname,
+                    source: f.source.clone(),
+                    elapsed,
+                    explain: tree.clone(),
+                });
+            }
+            if let Some(trees) = &mut self.explain_trees {
+                trees.push(tree);
+            }
         }
         Ok(result)
     }
@@ -995,7 +964,7 @@ mod tests {
     #[test]
     fn index_cache_hits_across_queries_and_invalidates_on_mutation() {
         let mut db = Database::new();
-        let obs = db.enable_profiling();
+        db.enable_profiling();
         let (g, _) = figure_4_16_graph();
         db.add_graph("G", g.clone());
         let query = r#"
@@ -1029,7 +998,10 @@ mod tests {
         assert_eq!(rep.counter("index.builds"), Some(2));
         // Per-statement spans were recorded for all three FLWRs.
         assert_eq!(rep.phase("engine.flwr").map(|p| p.count), Some(3));
-        assert_eq!(obs.report().phase("op.select").map(|p| p.count), Some(3));
+        assert_eq!(
+            db.profile_report().phase("op.select").map(|p| p.count),
+            Some(3)
+        );
     }
 
     /// Explain + tracing on: results unchanged, one operator tree per
@@ -1124,16 +1096,16 @@ mod tests {
         let (g, _) = figure_4_16_graph();
 
         let mut db = Database::new();
-        let obs = db.enable_profiling();
+        db.enable_profiling();
         db.add_graph("G", g.clone());
         let first = db.execute(query).unwrap();
-        let rep = obs.report();
+        let rep = db.profile_report();
         assert_eq!(rep.counter("planner.cache.hits").unwrap_or(0), 0);
         assert_eq!(rep.counter("planner.cache.misses"), Some(1));
 
         let second = db.execute(query).unwrap();
         assert_eq!(second.returned[0].len(), first.returned[0].len());
-        let rep = obs.report();
+        let rep = db.profile_report();
         assert_eq!(rep.counter("planner.cache.hits"), Some(1));
         assert_eq!(rep.counter("planner.cache.misses"), Some(1));
         let planner = db.planner("G").expect("planner created").clone();
@@ -1147,7 +1119,7 @@ mod tests {
         assert_eq!(planner.cached_plans(), 0);
         let third = db.execute(query).unwrap();
         assert_eq!(third.returned[0].len(), first.returned[0].len());
-        let rep = obs.report();
+        let rep = db.profile_report();
         assert_eq!(rep.counter("planner.cache.misses"), Some(2));
     }
 
@@ -1207,12 +1179,12 @@ mod tests {
         drop(db);
 
         let mut db = Database::open(&dir).unwrap();
-        let obs = db.enable_profiling();
+        db.enable_profiling();
         assert_eq!(db.collection("G").unwrap().len(), 1);
         assert_eq!(db.var("C").unwrap().node_count(), 2);
         let after = db.execute(PERSIST_QUERY).unwrap();
         assert_eq!(after.returned[0].len(), before.returned[0].len());
-        let rep = obs.report();
+        let rep = db.profile_report();
         assert_eq!(
             rep.counter("index.builds").unwrap_or(0),
             0,

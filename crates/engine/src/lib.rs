@@ -28,9 +28,9 @@ pub mod metrics;
 pub mod server;
 
 pub use data::{collection_from_text, graph_from_text};
-pub use database::{Database, ExecOutcome, SlowQuery};
+pub use database::{Database, ExecOutcome};
 pub use error::{EngineError, Result};
 pub use gql_match::GraphSnapshot;
 pub use gql_storage::OpenOptions;
-pub use metrics::{Health, MetricsRegistry, SlowEntry};
+pub use metrics::{Health, MetricsRegistry, SlowQuery};
 pub use server::MetricsServer;

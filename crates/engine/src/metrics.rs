@@ -1,40 +1,49 @@
-//! The always-on metrics registry: one process-wide [`Obs`] plus the
-//! health model and slow-query ring the live endpoints serve.
+//! The always-on metrics registry: one cumulative [`Obs`] plus the
+//! health model and the slow-query ring.
 //!
 //! Every [`Database`](crate::Database) owns an `Arc<MetricsRegistry>`
 //! from construction. The storage layer records into its [`Obs`] for
 //! the database's whole lifetime (WAL append/fsync latency, checkpoint
 //! stage timings, segment open counters — rare, coarse events), while
 //! the per-query pipeline only records when profiling or a metrics
-//! server attaches the registry's `Obs` as `MatchOptions::obs` — so an
-//! un-instrumented run still pays nothing per element, and "no server
-//! attached" stays zero-cost on the hot path.
+//! server puts the registry's `Obs` into the engine's telemetry handle
+//! (`MatchOptions::telemetry`) — so an un-instrumented run still pays
+//! nothing per element, and "no server attached" stays zero-cost on the
+//! hot path. The registry is never reset: `--profile` reports a delta
+//! from a mark ([`Obs::mark`]), so health signals (CRC failures, WAL
+//! size) survive profiling.
 //!
-//! The registry is what the HTTP endpoints read from another thread
-//! mid-query: counters and gauges are atomics, the slow ring and the
-//! health notes sit behind short-lived mutexes, and nothing here ever
-//! blocks on query execution.
+//! The slow-query log is one bounded ring of [`SlowQuery`] entries
+//! (each with its EXPLAIN tree) that both
+//! [`Database::slow_queries`](crate::Database::slow_queries) and `/slow`
+//! read. The registry is what the HTTP endpoints read from another
+//! thread mid-query: counters and gauges are atomics, the slow ring and
+//! the health notes sit behind short-lived mutexes, and nothing here
+//! ever blocks on query execution.
 
-use gql_core::Obs;
+use gql_core::obs::json::escape;
+use gql_core::{ExplainNode, Obs};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Slow-query entries kept for `/slow` (oldest evicted first).
-const SLOW_RING_CAP: usize = 64;
+/// Slow queries kept (oldest evicted first).
+pub const SLOW_RING_CAP: usize = 64;
 
 /// Default WAL-size threshold for `/healthz` degradation: a WAL this
 /// large means checkpoints are overdue and recovery time is growing.
 const DEFAULT_WAL_THRESHOLD: u64 = 64 * 1024 * 1024;
 
-/// One `/slow` ring entry — the JSON-facing subset of
-/// [`SlowQuery`](crate::SlowQuery), keyed by the query id that
-/// slow-log lines, trace events, and EXPLAIN trees share.
+/// One slow-query log entry: a FLWR statement whose wall-clock time met
+/// the [`Database::set_slow_query_threshold`](crate::Database::set_slow_query_threshold)
+/// threshold, captured with its `EXPLAIN ANALYZE` operator tree.
 #[derive(Debug, Clone)]
-pub struct SlowEntry {
-    /// Query id (`query_id` in the EXPLAIN tree and trace args).
+pub struct SlowQuery {
+    /// Query id shared with the statement's EXPLAIN tree (`query_id`
+    /// prop), trace events, and the `/slow` endpoint — the correlation
+    /// key across all telemetry surfaces.
     pub id: u64,
     /// Name of the pattern the `for` clause matched.
     pub pattern: String,
@@ -42,17 +51,13 @@ pub struct SlowEntry {
     pub source: String,
     /// Wall-clock time of the whole FLWR statement.
     pub elapsed: Duration,
+    /// The statement's `EXPLAIN ANALYZE` tree.
+    pub explain: ExplainNode,
 }
 
-/// Outcome of the most recent checkpoint, for `/healthz`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CheckpointStatus {
-    /// No checkpoint attempted yet this process.
-    None,
-    /// Last checkpoint published cleanly.
-    Ok,
-    /// Last checkpoint failed with this error.
-    Failed(String),
+/// Locks one of the registry's short-lived mutexes.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("metrics registry poisoned")
 }
 
 /// Point-in-time health assessment (the `/healthz` payload).
@@ -72,9 +77,11 @@ pub struct MetricsRegistry {
     obs: Arc<Obs>,
     next_query_id: AtomicU64,
     wal_threshold: AtomicU64,
-    slow: Mutex<VecDeque<SlowEntry>>,
+    slow: Mutex<VecDeque<SlowQuery>>,
+    slow_total: AtomicU64,
     storage_error: Mutex<Option<String>>,
-    checkpoint: Mutex<CheckpointStatus>,
+    /// Outcome of the most recent checkpoint (`None` before the first).
+    checkpoint: Mutex<Option<Result<(), String>>>,
 }
 
 impl MetricsRegistry {
@@ -85,14 +92,15 @@ impl MetricsRegistry {
             next_query_id: AtomicU64::new(0),
             wal_threshold: AtomicU64::new(DEFAULT_WAL_THRESHOLD),
             slow: Mutex::new(VecDeque::new()),
+            slow_total: AtomicU64::new(0),
             storage_error: Mutex::new(None),
-            checkpoint: Mutex::new(CheckpointStatus::None),
+            checkpoint: Mutex::new(None),
         })
     }
 
     /// The registry's metrics sink — what the storage layer records
-    /// into always, and what `MatchOptions::obs` points at when
-    /// profiling or a metrics server is attached.
+    /// into always, and what the engine's telemetry handle aggregates
+    /// into when profiling or a metrics server is attached.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
     }
@@ -109,31 +117,39 @@ impl MetricsRegistry {
         self.wal_threshold.store(bytes, Ordering::Relaxed);
     }
 
-    /// Pushes one entry onto the `/slow` ring (oldest evicted at cap).
-    pub fn record_slow(&self, entry: SlowEntry) {
-        let mut ring = self.slow.lock().expect("slow ring poisoned");
+    /// Pushes one entry onto the slow ring (oldest evicted at
+    /// [`SLOW_RING_CAP`]).
+    pub fn record_slow(&self, entry: SlowQuery) {
+        self.slow_total.fetch_add(1, Ordering::Relaxed);
+        let mut ring = lock(&self.slow);
         if ring.len() == SLOW_RING_CAP {
             ring.pop_front();
         }
         ring.push_back(entry);
     }
 
+    /// The retained slow queries, oldest first (at most
+    /// [`SLOW_RING_CAP`]).
+    pub fn slow_queries(&self) -> Vec<SlowQuery> {
+        lock(&self.slow).iter().cloned().collect()
+    }
+
+    /// Slow queries recorded over the registry's lifetime, evicted ones
+    /// included.
+    pub fn slow_total(&self) -> u64 {
+        self.slow_total.load(Ordering::Relaxed)
+    }
+
     /// Notes a storage-layer failure (WAL append error, rejected
     /// checkpoint adoption); `/healthz` reports degraded until the
     /// process restarts — storage errors are not self-healing.
     pub fn note_storage_error(&self, msg: &str) {
-        self.storage_error
-            .lock()
-            .expect("storage error poisoned")
-            .get_or_insert_with(|| msg.to_string());
+        lock(&self.storage_error).get_or_insert_with(|| msg.to_string());
     }
 
     /// Records the outcome of a checkpoint attempt.
     pub fn note_checkpoint(&self, result: Result<(), &str>) {
-        *self.checkpoint.lock().expect("checkpoint status poisoned") = match result {
-            Ok(()) => CheckpointStatus::Ok,
-            Err(e) => CheckpointStatus::Failed(e.to_string()),
-        };
+        *lock(&self.checkpoint) = Some(result.map_err(str::to_string));
     }
 
     /// The `/metrics` body: Prometheus exposition of the full registry.
@@ -143,7 +159,7 @@ impl MetricsRegistry {
 
     /// The `/slow` body: a JSON array of ring entries, oldest first.
     pub fn render_slow(&self) -> String {
-        let ring = self.slow.lock().expect("slow ring poisoned");
+        let ring = lock(&self.slow);
         let mut s = String::from("[");
         for (i, e) in ring.iter().enumerate() {
             let _ = write!(
@@ -151,8 +167,8 @@ impl MetricsRegistry {
                 "{}{{\"id\": {}, \"pattern\": \"{}\", \"source\": \"{}\", \"elapsed_ms\": {}}}",
                 if i == 0 { "\n  " } else { ",\n  " },
                 e.id,
-                json_escape(&e.pattern),
-                json_escape(&e.source),
+                escape(&e.pattern),
+                escape(&e.source),
                 e.elapsed.as_secs_f64() * 1e3,
             );
         }
@@ -171,85 +187,30 @@ impl MetricsRegistry {
         let crc_fail = report.counter("storage.crc_fail").unwrap_or(0);
         let wal_size = report.gauge("storage.wal_size").unwrap_or(0);
         let wal_threshold = self.wal_threshold.load(Ordering::Relaxed);
-        let storage_error = self
-            .storage_error
-            .lock()
-            .expect("storage error poisoned")
-            .clone();
-        let checkpoint = self
-            .checkpoint
-            .lock()
-            .expect("checkpoint status poisoned")
-            .clone();
-        let slow_queries = self.slow.lock().expect("slow ring poisoned").len();
+        let storage_error = lock(&self.storage_error).clone();
+        let checkpoint = lock(&self.checkpoint).clone();
+        let slow_queries = lock(&self.slow).len();
+        let ok = storage_error.is_none()
+            && crc_fail == 0
+            && wal_size <= wal_threshold
+            && !matches!(checkpoint, Some(Err(_)));
 
-        let mut reasons: Vec<String> = Vec::new();
-        if let Some(e) = &storage_error {
-            reasons.push(format!("storage error: {e}"));
-        }
-        if crc_fail > 0 {
-            reasons.push(format!("{crc_fail} checkpoint section(s) failed CRC"));
-        }
-        if wal_size > wal_threshold {
-            reasons.push(format!(
-                "wal size {wal_size} exceeds threshold {wal_threshold}"
-            ));
-        }
-        if let CheckpointStatus::Failed(e) = &checkpoint {
-            reasons.push(format!("last checkpoint failed: {e}"));
-        }
-        let ok = reasons.is_empty();
-
-        let mut json = String::from("{\n");
-        let _ = writeln!(
-            json,
-            "  \"status\": \"{}\",",
-            if ok { "ok" } else { "degraded" }
+        let quoted = |s: &str| format!("\"{}\"", escape(s));
+        let storage_error = storage_error.as_deref().map_or("null".into(), quoted);
+        let last_checkpoint = match &checkpoint {
+            None => "null".to_string(),
+            Some(Ok(())) => quoted("ok"),
+            Some(Err(e)) => quoted(&format!("failed: {e}")),
+        };
+        let json = format!(
+            "{{\n  \"status\": \"{}\",\n  \"wal_size\": {wal_size},\n  \"wal_threshold\": {wal_threshold},\n  \
+             \"crc_fail\": {crc_fail},\n  \"storage_error\": {storage_error},\n  \
+             \"last_checkpoint\": {last_checkpoint},\n  \"queries\": {},\n  \"slow_queries\": {slow_queries}\n}}\n",
+            if ok { "ok" } else { "degraded" },
+            self.next_query_id.load(Ordering::Relaxed),
         );
-        let _ = writeln!(json, "  \"wal_size\": {wal_size},");
-        let _ = writeln!(json, "  \"wal_threshold\": {wal_threshold},");
-        let _ = writeln!(json, "  \"crc_fail\": {crc_fail},");
-        let _ = writeln!(
-            json,
-            "  \"storage_error\": {},",
-            match &storage_error {
-                Some(e) => format!("\"{}\"", json_escape(e)),
-                None => "null".to_string(),
-            }
-        );
-        let _ = writeln!(
-            json,
-            "  \"last_checkpoint\": {},",
-            match &checkpoint {
-                CheckpointStatus::None => "null".to_string(),
-                CheckpointStatus::Ok => "\"ok\"".to_string(),
-                CheckpointStatus::Failed(e) => format!("\"failed: {}\"", json_escape(e)),
-            }
-        );
-        let _ = writeln!(
-            json,
-            "  \"queries\": {},",
-            self.next_query_id.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(json, "  \"slow_queries\": {slow_queries}");
-        json.push_str("}\n");
         Health { ok, json }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -304,13 +265,17 @@ mod tests {
     fn slow_ring_caps_and_renders() {
         let reg = MetricsRegistry::new();
         for i in 0..(SLOW_RING_CAP as u64 + 10) {
-            reg.record_slow(SlowEntry {
+            reg.record_slow(SlowQuery {
                 id: i + 1,
                 pattern: "P".into(),
                 source: "db".into(),
                 elapsed: Duration::from_millis(i + 1),
+                explain: ExplainNode::new("flwr"),
             });
         }
+        assert_eq!(reg.slow_total(), SLOW_RING_CAP as u64 + 10);
+        let kept: Vec<u64> = reg.slow_queries().iter().map(|q| q.id).collect();
+        assert_eq!(kept, (11..=SLOW_RING_CAP as u64 + 10).collect::<Vec<_>>());
         let body = reg.render_slow();
         validate_json(&body).unwrap();
         assert!(!body.contains("\"id\": 10"), "oldest entries evicted");

@@ -93,11 +93,11 @@ fn normalize_explain(node: &ExplainNode, out: &mut String) {
 /// second statement exercises the plan-cache hit path), the complete
 /// counter set, and the normalized explain trees.
 fn observe(db: &mut Database) -> (Vec<String>, Vec<(String, u64)>, String) {
-    let obs = db.enable_profiling();
+    db.enable_profiling();
     db.enable_explain();
     let mut results = run_query(db);
     results.extend(run_query(db));
-    let counters = obs.report().counters;
+    let counters = db.profile_report().counters;
     let mut trees = String::new();
     for t in db.explain_trees() {
         normalize_explain(t, &mut trees);

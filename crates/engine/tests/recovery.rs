@@ -216,10 +216,10 @@ fn clean_close_reopens_without_rebuilding_indexes() {
     db.close().unwrap();
     for threads in [1usize, 2, 8] {
         let mut db = Database::open(&dir).unwrap().with_threads(threads);
-        let obs = db.enable_profiling();
+        db.enable_profiling();
         assert_eq!(run_query(&mut db), first, "{threads} threads");
         assert_eq!(
-            obs.report().counter("index.builds").unwrap_or(0),
+            db.profile_report().counter("index.builds").unwrap_or(0),
             0,
             "reopen after close must not rebuild indexes"
         );
@@ -264,13 +264,13 @@ fn checkpoint_recorded_without_csr_reopens_and_reindexes() {
 
     for threads in [1usize, 2, 8] {
         let mut db = Database::open(&dir).unwrap().with_threads(threads);
-        let obs = db.enable_profiling();
+        db.enable_profiling();
         assert_eq!(
             run_query(&mut db),
             baseline(&g, threads),
             "{threads} threads"
         );
-        let rep = obs.report();
+        let rep = db.profile_report();
         assert_eq!(
             rep.counter("index.builds"),
             Some(1),

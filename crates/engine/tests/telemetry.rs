@@ -267,3 +267,58 @@ fn oversized_requests_are_rejected_and_the_server_keeps_answering() {
     let (status, body) = http_get(addr, "/healthz");
     assert!(status.contains("200"), "{status}: {body}");
 }
+
+/// Starting a profile must not wipe what `/healthz` and `/metrics`
+/// read: a WAL past its threshold stays degraded and the open-time
+/// storage counters stay exposed, while the profile itself still
+/// reports only what ran after it started.
+#[test]
+fn enabling_profiling_keeps_health_signals_and_storage_metrics() {
+    let dir = tmpdir("profilehealth");
+    {
+        let mut db = Database::open(&dir).expect("create");
+        db.add_collection("G", test_collection(1, 40));
+        db.close().expect("checkpoint");
+    }
+    let mut db = Database::open(&dir).expect("reopen");
+    let addr = db.serve_metrics("127.0.0.1:0").expect("serve");
+    db.add_collection("H", test_collection(1, 40)); // one WAL append
+    db.metrics().set_wal_threshold(1);
+    assert!(!db.metrics().health().ok, "WAL past its threshold");
+
+    db.enable_profiling();
+    let health = db.metrics().health();
+    assert!(!health.ok, "profiling hid a degraded WAL: {}", health.json);
+    let (status, body) = http_get(addr, "/healthz");
+    assert!(status.contains("503"), "{status}: {body}");
+    let (_, metrics) = http_get(addr, "/metrics");
+    assert!(
+        metrics.contains("gql_storage_segment_open_total 1"),
+        "{metrics}"
+    );
+
+    run_query(&mut db);
+    let profile = db.profile_report();
+    assert_eq!(profile.counter("storage.segment.open"), None);
+    assert_eq!(profile.phase("engine.flwr").map(|p| p.count), Some(1));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The slow-query log is one bounded ring: past its capacity the oldest
+/// statements are evicted from `Database::slow_queries` and `/slow`
+/// alike.
+#[test]
+fn slow_log_keeps_only_the_most_recent_statements() {
+    let mut db = Database::new();
+    db.add_collection("G", test_collection(1, 40));
+    db.set_slow_query_threshold(Duration::ZERO);
+    let addr = db.serve_metrics("127.0.0.1:0").expect("serve");
+    for _ in 0..74 {
+        run_query(&mut db);
+    }
+    let ids: Vec<u64> = db.slow_queries().iter().map(|q| q.id).collect();
+    assert_eq!(ids, (11..=74).collect::<Vec<u64>>());
+    let (_, slow) = http_get(addr, "/slow");
+    assert_eq!(slow.matches("\"id\":").count(), 64, "{slow}");
+    assert!(slow.contains("\"id\": 11,") && !slow.contains("\"id\": 10,"));
+}

@@ -17,10 +17,7 @@ use crate::expr::{EvalCtx, Expr};
 use crate::index::GraphIndex;
 use crate::pattern::Pattern;
 use gql_core::iso::subgraph_isomorphic_anchored;
-use gql_core::{
-    neighborhood_subgraph, ArgValue, Graph, NodeId, ProbeOp, Profile, TraceSink, Value,
-};
-use std::time::Instant;
+use gql_core::{neighborhood_subgraph, Graph, NodeId, ProbeOp, Profile, Value};
 
 /// Local pruning strategy for feasible-mate retrieval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -456,62 +453,53 @@ pub fn feasible_mates_stats_par(
     pruning: LocalPruning,
     threads: usize,
 ) -> (Vec<Vec<NodeId>>, RetrieveStats) {
-    let (mates, per_node, _) =
-        feasible_mates_stats_per_node(pattern, g, index, pruning, threads, None);
-    let mut stats = RetrieveStats::default();
-    for s in &per_node {
-        stats.absorb(s);
-    }
+    let (mates, _, stats, _) = retrieve_nodes(pattern, g, index, pruning, threads, |_| |_: &_| ());
     (mates, stats)
 }
 
-/// [`feasible_mates_stats_par`] keeping the counters *per pattern node*
-/// (for EXPLAIN trees and trace timelines) instead of pre-aggregated,
-/// along with each node's [`RetrieveAccess`] decision.
-/// With a [`TraceSink`] attached, each node's retrieval is additionally
-/// recorded as a `retrieve.node` complete event carrying candidates
-/// in/out, on whichever worker thread ran it.
-pub(crate) fn feasible_mates_stats_per_node(
+/// One pattern node's retrieval: `Φ(u)`, its [`RetrieveStats`], and
+/// its [`RetrieveAccess`] decision.
+pub(crate) type NodeMates = (Vec<NodeId>, RetrieveStats, RetrieveAccess);
+
+/// The stats-collecting retrieval, one pattern node per work item on
+/// `threads` workers. `around(u)` runs on the worker just before node
+/// `u`'s retrieval and returns what observes its result (the matcher's
+/// per-node span lives there). Returns the mates, the access records,
+/// the aggregate stats, and the observations, all in node order.
+pub(crate) fn retrieve_nodes<W, T>(
     pattern: &Pattern,
     g: &Graph,
     index: &GraphIndex,
     pruning: LocalPruning,
     threads: usize,
-    trace: Option<&TraceSink>,
-) -> (Vec<Vec<NodeId>>, Vec<RetrieveStats>, Vec<RetrieveAccess>) {
+    around: impl Fn(NodeId) -> W + Sync,
+) -> (Vec<Vec<NodeId>>, Vec<RetrieveAccess>, RetrieveStats, Vec<T>)
+where
+    W: FnOnce(&NodeMates) -> T,
+    T: Send,
+{
     let ids: Vec<NodeId> = pattern.graph.node_ids().collect();
     let per_node = gql_core::par_map_slice(&ids, threads, |&u| {
-        let start = trace.map(|_| Instant::now());
+        let observe = around(u);
         let mut s = RetrieveStats::default();
         let (m, a) = mates_for(pattern, g, index, pruning, u, &mut s);
         // Every candidate entering local pruning is either kept or
         // charged to exactly one of the two reject counters.
         s.kept = m.len() as u64;
         s.candidates = s.kept + s.sig_rejected + s.exact_rejected;
-        if let (Some(sink), Some(start)) = (trace, start) {
-            sink.complete(
-                format!("retrieve.node[{}]", u.index()),
-                "match",
-                start,
-                vec![
-                    ("candidates", ArgValue::UInt(s.candidates)),
-                    ("sig_rejected", ArgValue::UInt(s.sig_rejected)),
-                    ("exact_rejected", ArgValue::UInt(s.exact_rejected)),
-                    ("kept", ArgValue::UInt(s.kept)),
-                ],
-            );
-        }
-        (m, s, a)
+        let node = (m, s, a);
+        let seen = observe(&node);
+        (node, seen)
     });
-    let mut mates = Vec::with_capacity(per_node.len());
-    let mut stats = Vec::with_capacity(per_node.len());
-    let mut access = Vec::with_capacity(per_node.len());
-    for (m, s, a) in per_node {
+    let mut stats = RetrieveStats::default();
+    let (mut mates, mut access, mut seen) = (Vec::new(), Vec::new(), Vec::new());
+    for ((m, s, a), t) in per_node {
+        stats.absorb(&s);
         mates.push(m);
-        stats.push(s);
         access.push(a);
+        seen.push(t);
     }
-    (mates, stats, access)
+    (mates, access, stats, seen)
 }
 
 /// Static per-pattern-node candidate estimate from label frequencies:
@@ -618,27 +606,43 @@ mod tests {
         assert_eq!(names(&g, &m[2]), ["C2"]);
     }
 
-    /// The per-node stats variant returns the same mates, its counters
-    /// sum to the aggregate's, and an attached sink records one
-    /// retrieval event per pattern node.
+    /// The per-node stats observed through `retrieve_nodes` return the
+    /// same mates as the plain kernel, sum to the aggregate, and a
+    /// traced match records one retrieval event per pattern node.
     #[test]
     fn per_node_stats_agree_with_aggregate_and_trace_records() {
         let (p, g, idx) = setup();
         let pruning = LocalPruning::Profiles { radius: 1 };
         let (mates, agg) = feasible_mates_stats_par(&p, &g, &idx, pruning, 1);
+        assert_eq!(mates, feasible_mates(&p, &g, &idx, pruning));
+        let observed = |u: NodeId| move |n: &NodeMates| (u, n.0.clone(), n.1);
+        let (_, _, _, per_node) = retrieve_nodes(&p, &g, &idx, pruning, 2, observed);
+        let mut sum = RetrieveStats::default();
+        for (u, m, s) in per_node {
+            assert_eq!(m, mates[u.index()]);
+            sum.absorb(&s);
+        }
+        assert_eq!(sum, agg);
         for threads in [1, 2, 8] {
-            let sink = gql_core::TraceSink::new();
-            let (m, per_node, access) =
-                feasible_mates_stats_per_node(&p, &g, &idx, pruning, threads, Some(&sink));
-            assert_eq!(access.len(), p.node_count());
-            assert_eq!(m, mates, "threads={threads}");
-            assert_eq!(per_node.len(), p.node_count());
-            let mut sum = RetrieveStats::default();
-            for s in &per_node {
-                sum.absorb(s);
-            }
-            assert_eq!(sum, agg, "threads={threads}");
-            assert_eq!(sink.len(), p.node_count(), "one event per pattern node");
+            assert_eq!(
+                feasible_mates_stats_par(&p, &g, &idx, pruning, threads),
+                (mates.clone(), agg),
+                "threads={threads}"
+            );
+            let tel = std::sync::Arc::new(gql_core::Telemetry::new().with_tracing());
+            let opts = crate::MatchOptions {
+                pruning,
+                threads,
+                telemetry: Some(std::sync::Arc::clone(&tel)),
+                ..crate::MatchOptions::default()
+            };
+            crate::match_pattern(&p, &g, &idx, &opts);
+            let per_node = tel
+                .events()
+                .iter()
+                .filter(|e| e.name.starts_with("retrieve.node["))
+                .count();
+            assert_eq!(per_node, p.node_count(), "one event per pattern node");
         }
     }
 

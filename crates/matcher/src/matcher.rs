@@ -3,17 +3,17 @@
 //! with per-step instrumentation for the §5 experiments.
 
 use crate::feasible::{
-    estimated_access, estimated_mates, feasible_mates_access_par, feasible_mates_stats_per_node,
-    search_space_ln, AccessPath, LocalPruning, RetrieveAccess, RetrieveStats,
+    estimated_access, estimated_mates, feasible_mates_access_par, retrieve_nodes, search_space_ln,
+    AccessPath, LocalPruning, NodeMates,
 };
 use crate::index::GraphIndex;
 use crate::order::{estimate_join_sizes, optimize_order, GammaMode, SearchOrder};
 use crate::pattern::Pattern;
 use crate::plan::{decide_refine_level, diverges, plan_key, CompiledPlan, Planner};
-use crate::refine::{estimated_refine_cost, refine_search_space_traced, RefineStats};
+use crate::refine::{estimated_refine_cost, refine_levels, RefineStats};
 use crate::search::{search_indexed_with_checks, EdgeChecks, SearchConfig, SearchOutcome};
 use gql_core::plan::ShapeFeedback;
-use gql_core::{ArgValue, EdgeId, ExplainNode, Graph, NodeId, Obs, TraceSink};
+use gql_core::{ArgValue, EdgeId, ExplainNode, Graph, NodeId, Span, Telemetry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,25 +66,16 @@ pub struct MatchOptions {
     /// (engine σ, first-match lookups) can skip the redundant
     /// `feasible_mates` pass, leaving `baseline_ln` as NaN.
     pub report_baseline_space: bool,
-    /// Observability sink: when set, the pipeline records per-phase
-    /// durations (`match.retrieve` / `match.refine` / `match.order` /
-    /// `match.search`) and logical counters (retrieval pruning
-    /// attribution, refinement work, search effort) into the registry.
-    /// `None` (the default) keeps the hot kernels on their
-    /// un-instrumented paths. The registry is shared, not per-query:
-    /// pass the same `Arc` across calls to aggregate.
-    pub obs: Option<Arc<Obs>>,
-    /// Trace sink: when set, the pipeline records per-phase complete
-    /// events plus the fine-grained ones the phases emit themselves
-    /// (per-pattern-node retrieval, per-refine-level, per-search-chunk),
-    /// each on the thread that did the work. `None` (the default) keeps
-    /// every kernel on its unobserved path.
-    pub trace: Option<Arc<TraceSink>>,
-    /// Whether to assemble an `EXPLAIN ANALYZE` operator tree
-    /// ([`MatchReport::explain`]) annotated with the run's actual
-    /// cardinalities, pruning ratios, and timings. `false` (the
-    /// default) leaves [`MatchReport::explain`] as `None` at zero cost.
-    pub explain: bool,
+    /// Telemetry handle: when set, every phase runs under one span that
+    /// records its duration and logical counters into the handle's
+    /// [`Obs`](gql_core::Obs) registry, emits trace events (per phase
+    /// and per pattern node / refine level / search chunk, each on the
+    /// thread that did the work), and builds the `EXPLAIN ANALYZE` tree
+    /// ([`MatchReport::explain`]) — whichever of the three the handle
+    /// has on. `None` (the default) keeps every kernel on its
+    /// unobserved path. Registries and trace buffers are shared, not
+    /// per-query: pass the same handle across calls to aggregate.
+    pub telemetry: Option<Arc<Telemetry>>,
     /// Shared planner: when set, compiled plans (search order, γ
     /// estimates, per-edge checks, refinement decision) are cached
     /// across calls and execution feedback is recorded for later
@@ -111,9 +102,7 @@ impl Default for MatchOptions {
             time_limit: None,
             threads: 1,
             report_baseline_space: true,
-            obs: None,
-            trace: None,
-            explain: false,
+            telemetry: None,
             planner: None,
             plan_graph: 0,
         }
@@ -135,13 +124,6 @@ impl MatchOptions {
     /// The experiments' "Optimized": profiles + refinement + ordering.
     pub fn optimized() -> Self {
         MatchOptions::default()
-    }
-
-    /// True when any per-query instrumentation is attached (obs
-    /// registry, trace sink, or explain tree) — the pipeline then takes
-    /// the stats-collecting retrieval path.
-    pub fn instrumented(&self) -> bool {
-        self.obs.is_some() || self.trace.is_some() || self.explain
     }
 }
 
@@ -240,7 +222,7 @@ pub struct MatchReport {
     /// True if the search hit its deadline.
     pub timed_out: bool,
     /// The `EXPLAIN ANALYZE` operator tree for this run, present iff
-    /// [`MatchOptions::explain`] was set.
+    /// [`MatchOptions::telemetry`] has explain on.
     pub explain: Option<ExplainNode>,
     /// Planner outcome for this run (cache hit / re-plan / refinement
     /// decision plus cost-model estimates), present when a planner was
@@ -252,6 +234,15 @@ pub struct MatchReport {
 ///
 /// `index` must have been built from `g`; reuse it across queries (that
 /// is its point). See [`GraphIndex::build_with_profiles`].
+///
+/// Each phase runs under one [`Span`] on [`MatchOptions::telemetry`]:
+/// the span is the phase's stopwatch ([`StepTimings`]) and, when a
+/// handle is attached, the one place its duration, counters, trace
+/// events and EXPLAIN node are recorded. Counters aggregate across
+/// queries sharing the registry; all of them are deterministic for
+/// exhaustive runs at any thread count (capped/early-exit parallel runs
+/// may legitimately report more `search.steps`, as documented on
+/// [`SearchOutcome::steps`]).
 pub fn match_pattern(
     pattern: &Pattern,
     g: &Graph,
@@ -259,41 +250,71 @@ pub fn match_pattern(
     opts: &MatchOptions,
 ) -> MatchReport {
     let mut report = MatchReport::default();
-    let trace = opts.trace.as_deref();
+    let tel = opts.telemetry.as_deref();
 
     // Phase 1: feasible mates + local pruning (lines 1–4 of Alg. 4.1).
-    // With any instrumentation attached, the stats-collecting retrieval
-    // attributes every pruned candidate to signature vs. exact test and
-    // keeps the per-pattern-node breakdown; without it the branch-free
-    // kernel runs.
-    let t0 = Instant::now();
-    let (mut mates, per_node_stats, access) = if opts.instrumented() {
-        let (m, s, a) =
-            feasible_mates_stats_per_node(pattern, g, index, opts.pruning, opts.threads, trace);
-        (m, Some(s), a)
-    } else {
-        let (m, a) = feasible_mates_access_par(pattern, g, index, opts.pruning, opts.threads);
-        (m, None, a)
-    };
-    let retrieve_stats = per_node_stats.as_ref().map(|per_node| {
-        let mut agg = RetrieveStats::default();
-        for s in per_node {
-            agg.absorb(s);
+    // With telemetry attached, the stats-collecting retrieval runs each
+    // pattern node under its own span (on whichever worker ran it) and
+    // attributes every pruned candidate to signature vs. exact test;
+    // without it the branch-free kernel runs.
+    let mut retrieve = Span::timed(tel, "match.retrieve", "match");
+    let (mut mates, access) = match tel {
+        None => feasible_mates_access_par(pattern, g, index, opts.pruning, opts.threads),
+        Some(t) => {
+            let around = |u: NodeId| {
+                let mut node = Span::phase(Some(t), "retrieve.node", "match").at(u.index());
+                move |(_, s, a): &NodeMates| {
+                    if node.recording() {
+                        // Access-path decision: which retrieval strategy
+                        // ran for this node, what the label bucket held,
+                        // how many ids the index probe produced, and what
+                        // the planner statistics had estimated beforehand.
+                        node.arg("path", ArgValue::Str(a.path.name().to_string()));
+                        node.arg("bucket", ArgValue::UInt(a.bucket));
+                        node.arg("probed", ArgValue::UInt(a.probed));
+                        let est = estimated_access(pattern, index, u);
+                        node.arg("est_candidates", ArgValue::UInt(est));
+                        node.arg("candidates", ArgValue::UInt(s.candidates));
+                        node.arg("sig_rejected", ArgValue::UInt(s.sig_rejected));
+                        node.arg("exact_rejected", ArgValue::UInt(s.exact_rejected));
+                        node.arg("kept", ArgValue::UInt(s.kept));
+                    }
+                    node.finish()
+                }
+            };
+            let (m, a, agg, nodes) =
+                retrieve_nodes(pattern, g, index, opts.pruning, opts.threads, around);
+            let elapsed = retrieve.stop();
+            for node in nodes {
+                retrieve.child(node);
+            }
+            retrieve.count("retrieve.candidates", agg.candidates);
+            retrieve.count("retrieve.sig_rejected", agg.sig_rejected);
+            retrieve.count("retrieve.exact_rejected", agg.exact_rejected);
+            retrieve.count("retrieve.kept", agg.kept);
+            for access in &a {
+                let key = match access.path {
+                    AccessPath::BucketScan => "retrieve.bucket_scan",
+                    AccessPath::IndexProbe => "retrieve.index_probe",
+                    AccessPath::ProbeResidual => "retrieve.residual_scan",
+                };
+                retrieve.count(key, 1);
+            }
+            if retrieve.recording() {
+                retrieve.arg("strategy", ArgValue::Str(format!("{:?}", opts.pruning)));
+                retrieve.arg("candidates", ArgValue::UInt(agg.candidates));
+                retrieve.arg("kept", ArgValue::UInt(agg.kept));
+                if agg.candidates > 0 {
+                    let pruned = 1.0 - agg.kept as f64 / agg.candidates as f64;
+                    retrieve.arg("pruned_ratio", ArgValue::Float(pruned));
+                }
+                retrieve.arg("ms", ms(elapsed));
+            }
+            (m, a)
         }
-        agg
-    });
-    report.timings.retrieve = t0.elapsed();
-    if let (Some(sink), Some(agg)) = (trace, retrieve_stats.as_ref()) {
-        sink.complete(
-            "match.retrieve",
-            "match",
-            t0,
-            vec![
-                ("candidates", ArgValue::UInt(agg.candidates)),
-                ("kept", ArgValue::UInt(agg.kept)),
-            ],
-        );
-    }
+    };
+    report.timings.retrieve = retrieve.stop();
+    let retrieve = retrieve.finish();
     report.spaces.local_ln = search_space_ln(&mates);
     // Baseline space for ratio reporting: recompute only if a different
     // strategy was used AND the caller wants the ratios.
@@ -323,15 +344,9 @@ pub fn match_pattern(
     let cached: Option<Arc<CompiledPlan>> = match (planner, key) {
         (Some(pl), Some(k)) => {
             let hit = pl.lookup(&k);
-            if let Some(obs) = &opts.obs {
-                obs.add(
-                    if hit.is_some() {
-                        "planner.cache.hits"
-                    } else {
-                        "planner.cache.misses"
-                    },
-                    1,
-                );
+            if let Some(t) = tel {
+                let outcome = if hit.is_some() { "hits" } else { "misses" };
+                t.count(&format!("planner.cache.{outcome}"), 1);
             }
             hit
         }
@@ -343,7 +358,7 @@ pub fn match_pattern(
     };
     let pre_sizes: Option<Vec<u32>> =
         planner.map(|_| mates.iter().map(|m| m.len() as u32).collect());
-    let want_plan_info = planner.is_some() || opts.explain;
+    let want_plan_info = planner.is_some() || tel.is_some_and(Telemetry::explains);
 
     // Phase 2: joint reduction (§4.3). The refinement decision is
     // always resolved from the *latest* feedback (`Auto` flips to skip
@@ -353,45 +368,52 @@ pub fn match_pattern(
     // order is recomputed from actuals — results are unaffected.
     let (level, refine_skipped) =
         decide_refine_level(pattern.node_count(), opts.refine, feedback.as_ref());
-    if refine_skipped {
-        if let Some(obs) = &opts.obs {
-            obs.add("planner.refine_skipped", 1);
-        }
-    }
     let est_refine_checks = if want_plan_info {
         estimated_refine_cost(&mates, level)
     } else {
         0.0
     };
-    let t1 = Instant::now();
-    if level > 0 {
-        report.refine_stats = refine_search_space_traced(
-            pattern,
-            g,
-            index.csr(),
-            &mut mates,
-            level,
-            opts.threads,
-            trace,
-        );
+    let mut refine = Span::timed(tel, "match.refine", "match");
+    if refine_skipped {
+        refine.count("planner.refine_skipped", 1);
     }
-    report.timings.refine = t1.elapsed();
+    let (stats, levels) =
+        refine_levels(pattern, index.csr(), &mut mates, level, opts.threads, |l| {
+            let mut lvl = Span::phase(tel, "refine.level", "match").at(l);
+            move |checks, removed| {
+                if let Some(t) = tel {
+                    t.count(&format!("refine.removed.l{l}"), removed);
+                }
+                lvl.arg("removed", ArgValue::UInt(removed));
+                lvl.trace_arg("checks", ArgValue::UInt(checks));
+                lvl.finish()
+            }
+        });
+    report.refine_stats = stats;
+    for node in levels {
+        refine.child(Some(node));
+    }
+    report.timings.refine = refine.stop();
     report.spaces.refined_ln = search_space_ln(&mates);
-    if let Some(sink) = trace {
-        sink.complete(
-            "match.refine",
-            "match",
-            t1,
-            vec![
-                ("level", ArgValue::UInt(level as u64)),
-                (
-                    "iterations",
-                    ArgValue::UInt(report.refine_stats.iterations as u64),
-                ),
-                ("removed", ArgValue::UInt(report.refine_stats.removed)),
-            ],
-        );
+    let rs = &report.refine_stats;
+    refine.count("refine.iterations", rs.iterations as u64);
+    refine.count("refine.bipartite_checks", rs.bipartite_checks);
+    refine.count("refine.removed", rs.removed);
+    if refine.recording() {
+        refine.arg("requested", ArgValue::Str(format!("{:?}", opts.refine)));
+        refine.arg("iterations", ArgValue::UInt(rs.iterations as u64));
+        refine.arg("bipartite_checks", ArgValue::UInt(rs.bipartite_checks));
+        refine.arg("removed", ArgValue::UInt(rs.removed));
+        if want_plan_info {
+            if refine_skipped {
+                refine.arg("skipped_by_planner", ArgValue::Bool(true));
+            }
+            refine.arg("est_checks", ArgValue::Float(est_refine_checks));
+        }
+        refine.arg("ms", ms(report.timings.refine));
+        refine.trace_arg("level", ArgValue::UInt(level as u64));
     }
+    let refine = refine.finish();
 
     // Phase 3: search order (§4.4). A validated cache hit reuses the
     // stored order (and estimates) wholesale. On any size mismatch the
@@ -399,7 +421,7 @@ pub fn match_pattern(
     // unplanned path computes, since the greedy optimizer is a pure
     // function of (pattern, candidate sizes, static stats) — so results
     // stay byte-identical whether or not the plan was stale.
-    let t2 = Instant::now();
+    let mut order_span = Span::timed(tel, "match.order", "match");
     let refined_sizes: Vec<u32> = if planner.is_some() {
         mates.iter().map(|m| m.len() as u32).collect()
     } else {
@@ -433,15 +455,13 @@ pub fn match_pattern(
             // actuals.
             if diverges(&plan.refined_sizes, &refined_sizes) {
                 replanned = true;
-                if let Some(obs) = &opts.obs {
-                    obs.add("planner.replans", 1);
-                }
+                order_span.count("planner.replans", 1);
             }
             compute_order(&mates)
         }
         None => compute_order(&mates),
     };
-    report.timings.order = t2.elapsed();
+    report.timings.order = order_span.stop();
     let order_cost = order.estimated_cost;
     report.order = order.order;
     let est_join_sizes: Vec<f64> = if want_plan_info {
@@ -458,14 +478,47 @@ pub fn match_pattern(
     } else {
         Vec::new()
     };
-    if let Some(sink) = trace {
-        sink.complete(
-            "match.order",
-            "match",
-            t2,
-            vec![("optimized", ArgValue::Bool(opts.optimize_order))],
-        );
+    // Surface what the planner did (cache hit / re-plan / refinement
+    // decision plus cost-model estimates).
+    if want_plan_info {
+        let est_static = est_join_sizes.last().copied().unwrap_or(0.0);
+        let correction = feedback.as_ref().and_then(|f| f.cardinality_error());
+        report.plan = Some(PlanInfo {
+            cache_hit: cached.is_some(),
+            replanned,
+            refine_skipped,
+            est_join_sizes: est_join_sizes.clone(),
+            est_matches: correction.map_or(est_static, |c| est_static * c),
+            est_refine_checks,
+            feedback_runs: feedback.as_ref().map_or(0, |f| f.runs),
+        });
     }
+    if order_span.recording() {
+        order_span.arg("optimized", ArgValue::Bool(opts.optimize_order));
+        let order: Vec<String> = report.order.iter().map(|u| u.to_string()).collect();
+        order_span.arg("order", ArgValue::Str(order.join(",")));
+        if let Some(info) = &report.plan {
+            // Plan-cache provenance (a hit skipped §4.4 entirely) and the
+            // estimated-vs-actual cardinality of each join of the order.
+            order_span.arg("plan_cached", ArgValue::Bool(info.cache_hit));
+            if info.replanned {
+                order_span.arg("replanned", ArgValue::Bool(true));
+            }
+            order_span.arg("feedback_runs", ArgValue::UInt(info.feedback_runs));
+            if let Some(t) = tel.filter(|t| t.explains()) {
+                for (i, &u) in report.order.iter().enumerate() {
+                    let mut join = Span::node(t, "join").at(u);
+                    if let Some(&est) = info.est_join_sizes.get(i) {
+                        join.arg("est_size", ArgValue::Float(est));
+                    }
+                    join.arg("candidates", ArgValue::UInt(mates[u].len() as u64));
+                    order_span.child(join.finish());
+                }
+            }
+        }
+        order_span.arg("ms", ms(report.timings.order));
+    }
+    let order_node = order_span.finish();
 
     // Phase 4: DFS search (Alg. 4.1 lines 7–26).
     let cfg = SearchConfig {
@@ -473,7 +526,7 @@ pub fn match_pattern(
         max_matches: opts.max_matches,
         deadline: opts.time_limit.map(|d| Instant::now() + d),
         threads: opts.threads,
-        trace: opts.trace.clone(),
+        trace: opts.telemetry.clone(),
     };
     // Per-edge checks: reuse the cached plan's (valid for this pattern
     // and index generation regardless of size drift), build them once
@@ -483,7 +536,7 @@ pub fn match_pattern(
         (planner.is_some() && cached.is_none()).then(|| EdgeChecks::build(pattern, index));
     let checks_ref: Option<&EdgeChecks> =
         cached.as_ref().map(|p| &p.checks).or(fresh_checks.as_ref());
-    let t3 = Instant::now();
+    let mut search = Span::timed(tel, "match.search", "match");
     let SearchOutcome {
         mappings,
         edge_bindings,
@@ -499,41 +552,34 @@ pub fn match_pattern(
         &report.order,
         &cfg,
     );
-    report.timings.search = t3.elapsed();
+    report.timings.search = search.stop();
     report.mappings = mappings;
     report.edge_bindings = edge_bindings;
     report.search_steps = steps;
     report.search_backtracks = backtracks;
     report.timed_out = timed_out;
-    if let Some(sink) = trace {
-        sink.complete(
-            "match.search",
-            "match",
-            t3,
-            vec![
-                ("steps", ArgValue::UInt(report.search_steps)),
-                ("backtracks", ArgValue::UInt(report.search_backtracks)),
-                ("matches", ArgValue::UInt(report.mappings.len() as u64)),
-            ],
-        );
+    search.count("match.queries", 1);
+    search.count("search.steps", report.search_steps);
+    search.count("search.backtracks", report.search_backtracks);
+    search.count("search.matches", report.mappings.len() as u64);
+    search.count("search.timeouts", u64::from(report.timed_out));
+    if search.recording() {
+        let space = mates
+            .iter()
+            .fold(1u64, |acc, m| acc.saturating_mul(m.len() as u64));
+        search.arg("space", ArgValue::UInt(space));
+        search.arg("steps", ArgValue::UInt(report.search_steps));
+        search.arg("backtracks", ArgValue::UInt(report.search_backtracks));
+        search.arg("matches", ArgValue::UInt(report.mappings.len() as u64));
+        if let Some(info) = &report.plan {
+            search.arg("est_matches", ArgValue::Float(info.est_matches));
+        }
+        search.arg("ms", ms(report.timings.search));
     }
+    let search = search.finish();
 
-    // Planner epilogue: surface what the planner did, then record this
-    // run's observations and (re)install the compiled plan for the next
-    // call of the same motif.
-    if want_plan_info {
-        let est_static = est_join_sizes.last().copied().unwrap_or(0.0);
-        let correction = feedback.as_ref().and_then(|f| f.cardinality_error());
-        report.plan = Some(PlanInfo {
-            cache_hit: cached.is_some(),
-            replanned,
-            refine_skipped,
-            est_join_sizes: est_join_sizes.clone(),
-            est_matches: correction.map_or(est_static, |c| est_static * c),
-            est_refine_checks,
-            feedback_runs: feedback.as_ref().map_or(0, |f| f.runs),
-        });
-    }
+    // Planner epilogue: record this run's observations and (re)install
+    // the compiled plan for the next call of the same motif.
     if let (Some(pl), Some(k), Some(pre)) = (planner, key, pre_sizes.as_ref()) {
         let est = estimated_mates(pattern, index.stats());
         for u in 0..pattern.node_count() {
@@ -580,7 +626,7 @@ pub fn match_pattern(
                 Arc::new(CompiledPlan {
                     order: report.order.clone(),
                     estimated_cost: order_cost,
-                    est_join_sizes: est_join_sizes.clone(),
+                    est_join_sizes,
                     refine_level: level,
                     refine_skipped,
                     refined_sizes,
@@ -591,19 +637,20 @@ pub fn match_pattern(
         }
     }
 
-    if let Some(obs) = &opts.obs {
-        flush_obs(obs, &report, retrieve_stats.as_ref(), &access);
-    }
-    if opts.explain {
-        report.explain = Some(build_explain(
-            pattern,
-            opts,
-            index,
-            &report,
-            per_node_stats.as_deref().unwrap_or(&[]),
-            &access,
-            &mates,
-        ));
+    // The run's operator tree: match → retrieve (→ per node) / refine
+    // (→ per level) / order (→ per join) / search.
+    if let Some(t) = tel.filter(|t| t.explains()) {
+        let mut root = Span::node(t, "match");
+        root.arg("pattern_nodes", ArgValue::UInt(pattern.node_count() as u64));
+        root.arg("matches", ArgValue::UInt(report.mappings.len() as u64));
+        root.arg("total_ms", ms(report.timings.total()));
+        if report.timed_out {
+            root.arg("timed_out", ArgValue::Bool(true));
+        }
+        for phase in [retrieve, refine, order_node, search] {
+            root.child(phase);
+        }
+        report.explain = root.finish();
     }
     report
 }
@@ -611,186 +658,6 @@ pub fn match_pattern(
 /// Milliseconds with microsecond precision, for explain annotations.
 fn ms(d: Duration) -> ArgValue {
     ArgValue::Float(d.as_secs_f64() * 1e3)
-}
-
-/// Assembles the `EXPLAIN ANALYZE` operator tree for one executed
-/// pipeline run: match → (retrieve → per-node) / (refine → per-level) /
-/// order / search, each annotated with the actuals the run recorded.
-fn build_explain(
-    pattern: &Pattern,
-    opts: &MatchOptions,
-    index: &GraphIndex,
-    report: &MatchReport,
-    per_node: &[RetrieveStats],
-    access: &[RetrieveAccess],
-    mates: &[Vec<NodeId>],
-) -> ExplainNode {
-    let mut root = ExplainNode::new("match");
-    root.prop("pattern_nodes", ArgValue::UInt(pattern.node_count() as u64));
-    root.prop("matches", ArgValue::UInt(report.mappings.len() as u64));
-    root.prop("total_ms", ms(report.timings.total()));
-    if report.timed_out {
-        root.prop("timed_out", ArgValue::Bool(true));
-    }
-
-    let mut retrieve = ExplainNode::new("retrieve");
-    retrieve.prop("strategy", ArgValue::Str(format!("{:?}", opts.pruning)));
-    let agg = {
-        let mut agg = RetrieveStats::default();
-        for s in per_node {
-            agg.absorb(s);
-        }
-        agg
-    };
-    retrieve.prop("candidates", ArgValue::UInt(agg.candidates));
-    retrieve.prop("kept", ArgValue::UInt(agg.kept));
-    if agg.candidates > 0 {
-        retrieve.prop(
-            "pruned_ratio",
-            ArgValue::Float(1.0 - agg.kept as f64 / agg.candidates as f64),
-        );
-    }
-    retrieve.prop("ms", ms(report.timings.retrieve));
-    for (u, s) in per_node.iter().enumerate() {
-        let mut node = ExplainNode::new(format!("node[{u}]"));
-        // Access-path decision: which retrieval strategy the run chose
-        // for this node, what the label bucket held, how many ids the
-        // index probe produced, and what the planner statistics had
-        // estimated beforehand — estimated-vs-actual in one line.
-        if let Some(a) = access.get(u) {
-            node.prop("path", ArgValue::Str(a.path.name().to_string()));
-            node.prop("bucket", ArgValue::UInt(a.bucket));
-            node.prop("probed", ArgValue::UInt(a.probed));
-            node.prop(
-                "est_candidates",
-                ArgValue::UInt(estimated_access(pattern, index, NodeId(u as u32))),
-            );
-        }
-        node.prop("candidates", ArgValue::UInt(s.candidates));
-        node.prop("sig_rejected", ArgValue::UInt(s.sig_rejected));
-        node.prop("exact_rejected", ArgValue::UInt(s.exact_rejected));
-        node.prop("kept", ArgValue::UInt(s.kept));
-        retrieve.child(node);
-    }
-    root.child(retrieve);
-
-    let mut refine = ExplainNode::new("refine");
-    let rs = &report.refine_stats;
-    refine.prop("requested", ArgValue::Str(format!("{:?}", opts.refine)));
-    refine.prop("iterations", ArgValue::UInt(rs.iterations as u64));
-    refine.prop("bipartite_checks", ArgValue::UInt(rs.bipartite_checks));
-    refine.prop("removed", ArgValue::UInt(rs.removed));
-    if let Some(info) = &report.plan {
-        if info.refine_skipped {
-            refine.prop("skipped_by_planner", ArgValue::Bool(true));
-        }
-        refine.prop("est_checks", ArgValue::Float(info.est_refine_checks));
-    }
-    refine.prop("ms", ms(report.timings.refine));
-    for (l, &removed) in rs.removed_per_level.iter().enumerate() {
-        let mut lvl = ExplainNode::new(format!("level[{}]", l + 1));
-        lvl.prop("removed", ArgValue::UInt(removed));
-        refine.child(lvl);
-    }
-    root.child(refine);
-
-    let mut order = ExplainNode::new("order");
-    order.prop("optimized", ArgValue::Bool(opts.optimize_order));
-    order.prop(
-        "order",
-        ArgValue::Str(
-            report
-                .order
-                .iter()
-                .map(|u| u.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        ),
-    );
-    if let Some(info) = &report.plan {
-        // Plan-cache provenance (a hit skipped §4.4 entirely) and the
-        // estimated-vs-actual cardinality of each join of the order.
-        order.prop("plan_cached", ArgValue::Bool(info.cache_hit));
-        if info.replanned {
-            order.prop("replanned", ArgValue::Bool(true));
-        }
-        order.prop("feedback_runs", ArgValue::UInt(info.feedback_runs));
-        for (i, &u) in report.order.iter().enumerate() {
-            let mut join = ExplainNode::new(format!("join[{u}]"));
-            if let Some(&est) = info.est_join_sizes.get(i) {
-                join.prop("est_size", ArgValue::Float(est));
-            }
-            join.prop(
-                "candidates",
-                ArgValue::UInt(mates.get(u).map_or(0, |m| m.len() as u64)),
-            );
-            order.child(join);
-        }
-    }
-    order.prop("ms", ms(report.timings.order));
-    root.child(order);
-
-    let mut search = ExplainNode::new("search");
-    search.prop(
-        "space",
-        ArgValue::UInt(
-            mates
-                .iter()
-                .fold(1u64, |acc, m| acc.saturating_mul(m.len() as u64)),
-        ),
-    );
-    search.prop("steps", ArgValue::UInt(report.search_steps));
-    search.prop("backtracks", ArgValue::UInt(report.search_backtracks));
-    search.prop("matches", ArgValue::UInt(report.mappings.len() as u64));
-    if let Some(info) = &report.plan {
-        search.prop("est_matches", ArgValue::Float(info.est_matches));
-    }
-    search.prop("ms", ms(report.timings.search));
-    root.child(search);
-    root
-}
-
-/// Records one pipeline run's phase durations and logical counters into
-/// the registry. Counters aggregate across queries sharing the sink;
-/// all of them are deterministic for exhaustive runs at any thread
-/// count (capped/early-exit parallel runs may legitimately report more
-/// `search.steps`, as documented on [`SearchOutcome::steps`]).
-fn flush_obs(
-    obs: &Obs,
-    report: &MatchReport,
-    retrieve: Option<&crate::feasible::RetrieveStats>,
-    access: &[RetrieveAccess],
-) {
-    obs.add("match.queries", 1);
-    obs.record("match.retrieve", report.timings.retrieve);
-    obs.record("match.refine", report.timings.refine);
-    obs.record("match.order", report.timings.order);
-    obs.record("match.search", report.timings.search);
-    if let Some(r) = retrieve {
-        obs.add("retrieve.candidates", r.candidates);
-        obs.add("retrieve.sig_rejected", r.sig_rejected);
-        obs.add("retrieve.exact_rejected", r.exact_rejected);
-        obs.add("retrieve.kept", r.kept);
-    }
-    for a in access {
-        let key = match a.path {
-            AccessPath::BucketScan => "retrieve.bucket_scan",
-            AccessPath::IndexProbe => "retrieve.index_probe",
-            AccessPath::ProbeResidual => "retrieve.residual_scan",
-        };
-        obs.add(key, 1);
-    }
-    let rs = &report.refine_stats;
-    obs.add("refine.iterations", rs.iterations as u64);
-    obs.add("refine.bipartite_checks", rs.bipartite_checks);
-    obs.add("refine.removed", rs.removed);
-    for (l, &n) in rs.removed_per_level.iter().enumerate() {
-        obs.add(&format!("refine.removed.l{}", l + 1), n);
-    }
-    obs.add("search.steps", report.search_steps);
-    obs.add("search.backtracks", report.search_backtracks);
-    obs.add("search.matches", report.mappings.len() as u64);
-    obs.add("search.timeouts", u64::from(report.timed_out));
 }
 
 #[cfg(test)]
@@ -869,9 +736,9 @@ mod tests {
         let p = Pattern::structural(figure_4_16_pattern());
         let idx = GraphIndex::build_with_profiles(&g, 1);
         let plain = match_pattern(&p, &g, &idx, &MatchOptions::optimized());
-        let obs = Obs::new();
+        let obs = gql_core::Obs::new();
         let opts = MatchOptions {
-            obs: Some(Arc::clone(&obs)),
+            telemetry: Some(Arc::new(Telemetry::new().with_obs(Arc::clone(&obs)))),
             ..MatchOptions::optimized()
         };
         let profiled = match_pattern(&p, &g, &idx, &opts);
@@ -897,14 +764,17 @@ mod tests {
             rep.counter("refine.removed"),
             Some(profiled.refine_stats.removed)
         );
-        // Phase durations were recorded once each.
-        for phase in [
-            "match.retrieve",
-            "match.refine",
-            "match.order",
-            "match.search",
+        // Phase durations were recorded once each — the same durations
+        // the report's step timings carry.
+        let t = &profiled.timings;
+        for (phase, d) in [
+            ("match.retrieve", t.retrieve),
+            ("match.refine", t.refine),
+            ("match.order", t.order),
+            ("match.search", t.search),
         ] {
-            assert_eq!(rep.phase(phase).map(|p| p.count), Some(1), "{phase}");
+            let stats = rep.phase(phase).unwrap_or_else(|| panic!("{phase}"));
+            assert_eq!((stats.count, stats.total), (1, d), "{phase}");
         }
     }
 
@@ -917,10 +787,9 @@ mod tests {
         let p = Pattern::structural(figure_4_16_pattern());
         let idx = GraphIndex::build_with_profiles(&g, 1);
         let plain = match_pattern(&p, &g, &idx, &MatchOptions::optimized());
-        let sink = gql_core::TraceSink::new();
+        let tel = Arc::new(Telemetry::new().with_tracing().with_explain());
         let opts = MatchOptions {
-            trace: Some(Arc::clone(&sink)),
-            explain: true,
+            telemetry: Some(Arc::clone(&tel)),
             ..MatchOptions::optimized()
         };
         let traced = match_pattern(&p, &g, &idx, &opts);
@@ -931,7 +800,7 @@ mod tests {
         assert_eq!(traced.refine_stats, plain.refine_stats);
         assert!(plain.explain.is_none());
 
-        let names: Vec<String> = sink.events().iter().map(|e| e.name.clone()).collect();
+        let names: Vec<String> = tel.events().iter().map(|e| e.name.clone()).collect();
         for phase in [
             "match.retrieve",
             "match.refine",
@@ -945,7 +814,7 @@ mod tests {
         }
         assert!(names.iter().any(|n| n.starts_with("retrieve.node[")));
         assert!(names.iter().any(|n| n.starts_with("search.chunk[")));
-        gql_core::validate_json(&sink.render_chrome_json()).unwrap();
+        gql_core::validate_json(&tel.render_chrome_json()).unwrap();
 
         let tree = traced.explain.expect("explain requested");
         assert_eq!(tree.label, "match");

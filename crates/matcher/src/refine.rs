@@ -45,8 +45,7 @@
 
 use crate::bipartite::{Bipartite, MatchingScratch};
 use crate::pattern::Pattern;
-use gql_core::{ArgValue, CsrEntry, CsrGraph, Graph, NodeId, TraceSink};
-use std::time::Instant;
+use gql_core::{CsrEntry, CsrGraph, Graph, NodeId};
 
 /// Counters reported by a refinement run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -239,32 +238,35 @@ pub fn refine_search_space_csr(
     level: usize,
     threads: usize,
 ) -> RefineStats {
-    refine_search_space_traced(pattern, g, csr, mates, level, threads, None)
-}
-
-/// [`refine_search_space_csr`] with an optional [`TraceSink`]: each
-/// performed level is recorded as a `refine.level[l]` complete event
-/// carrying its worklist size and removals. Tracing only reads what the
-/// level loop already computes.
-pub(crate) fn refine_search_space_traced(
-    pattern: &Pattern,
-    g: &Graph,
-    csr: &CsrGraph,
-    mates: &mut [Vec<NodeId>],
-    level: usize,
-    threads: usize,
-    trace: Option<&TraceSink>,
-) -> RefineStats {
     debug_assert_eq!(
         csr.node_count(),
         g.node_count(),
         "snapshot of another graph?"
     );
+    refine_levels(pattern, csr, mates, level, threads, |_| |_, _| None::<()>).0
+}
+
+/// Algorithm 4.2's level loop, the one copy of it. `around(l)` runs just
+/// before level `l` and returns what observes its `(pairs checked,
+/// pairs removed)` (the matcher's per-level span lives there); the
+/// observations that are `Some` come back in level order.
+pub(crate) fn refine_levels<W, T>(
+    pattern: &Pattern,
+    csr: &CsrGraph,
+    mates: &mut [Vec<NodeId>],
+    level: usize,
+    threads: usize,
+    around: impl Fn(usize) -> W,
+) -> (RefineStats, Vec<T>)
+where
+    W: FnOnce(u64, u64) -> Option<T>,
+{
     let k = pattern.node_count();
     debug_assert_eq!(k, mates.len());
     let mut stats = RefineStats::default();
+    let mut seen = Vec::new();
     if k == 0 || level == 0 {
-        return stats;
+        return (stats, seen);
     }
     // Per pattern node: the one interned label all its current
     // candidates share, if any (`IMPOSSIBLE_LABEL` for an empty
@@ -311,14 +313,14 @@ pub(crate) fn refine_search_space_traced(
     let workers = gql_core::resolve_threads(threads);
     let mut scratch = RefineScratch::new(n);
 
-    for _ in 0..level {
+    for l in 1..=level {
         if worklist.is_empty() {
             break; // line 19
         }
-        let level_start = trace.map(|_| Instant::now());
+        let observe = around(l);
+        let checks = worklist.len() as u64;
         stats.iterations += 1;
-        stats.bipartite_checks += worklist.len() as u64;
-        let level_checks = worklist.len() as u64;
+        stats.bipartite_checks += checks;
         // Drain the marks of every pair being checked this level.
         for &(u, v) in &worklist {
             marked[u as usize * n + v as usize] = false;
@@ -337,17 +339,7 @@ pub(crate) fn refine_search_space_traced(
             check_level_parallel(pattern, csr, labels, &feasible, &worklist, workers)
         };
         stats.removed_per_level.push(removals.len() as u64);
-        if let (Some(sink), Some(start)) = (trace, level_start) {
-            sink.complete(
-                format!("refine.level[{}]", stats.iterations),
-                "match",
-                start,
-                vec![
-                    ("checks", ArgValue::UInt(level_checks)),
-                    ("removed", ArgValue::UInt(removals.len() as u64)),
-                ],
-            );
-        }
+        seen.extend(observe(checks, removals.len() as u64));
         if removals.is_empty() {
             break; // space stable: further levels cannot change it
         }
@@ -376,7 +368,7 @@ pub(crate) fn refine_search_space_traced(
     for (u, m) in mates.iter_mut().enumerate() {
         m.retain(|v| feasible[u].contains(v.0));
     }
-    stats
+    (stats, seen)
 }
 
 /// One level's checks across `workers` scoped threads. Each worker owns
@@ -551,8 +543,9 @@ mod tests {
         assert!(mates.iter().all(|m| m.len() == 1));
     }
 
-    /// Attaching a trace sink changes nothing observable and records
-    /// one `refine.level` event per performed iteration.
+    /// Refinement with a span around each level (as the traced matcher
+    /// runs it) changes nothing observable and records one
+    /// `refine.level` event per performed iteration.
     #[test]
     fn traced_refinement_is_equivalent_and_records_levels() {
         let (g, _) = figure_4_16_graph();
@@ -562,14 +555,21 @@ mod tests {
         let mut plain = base.clone();
         let plain_stats = refine_search_space_csr(&p, &g, idx.csr(), &mut plain, 4, 1);
         for threads in [1, 2, 8] {
-            let sink = gql_core::TraceSink::new();
+            let tel = gql_core::Telemetry::new().with_tracing();
             let mut traced = base.clone();
-            let stats =
-                refine_search_space_traced(&p, &g, idx.csr(), &mut traced, 4, threads, Some(&sink));
+            let (stats, levels) = refine_levels(&p, idx.csr(), &mut traced, 4, threads, |l| {
+                let span = gql_core::Span::phase(Some(&tel), "refine.level", "match").at(l);
+                move |_, removed| {
+                    span.finish();
+                    Some((l, removed))
+                }
+            });
+            assert_eq!(levels.len(), stats.iterations, "threads={threads}");
+            assert!(levels.iter().map(|&(l, _)| l).eq(1..=stats.iterations));
             assert_eq!(traced, plain, "threads={threads}");
             assert_eq!(stats, plain_stats, "threads={threads}");
             assert_eq!(
-                sink.len(),
+                tel.events().len(),
                 stats.iterations,
                 "one event per level, threads={threads}"
             );

@@ -72,7 +72,7 @@ use crate::expr::Expr;
 use crate::feasible::intersect_sorted;
 use crate::index::GraphIndex;
 use crate::pattern::Pattern;
-use gql_core::{ArgValue, CsrGraph, EdgeId, Graph, NodeId, ProbeOp, TraceSink, Value};
+use gql_core::{ArgValue, CsrGraph, EdgeId, Graph, NodeId, ProbeOp, Span, Telemetry, Value};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -93,12 +93,12 @@ pub struct SearchConfig {
     /// runs the classic sequential search, `0` means one worker per
     /// available core. Any setting produces identical output.
     pub threads: usize,
-    /// Trace sink: when set, each root chunk's exploration is recorded
-    /// as a `search.chunk[c]` complete event (on the worker thread that
+    /// Telemetry handle: when set, each root chunk's exploration runs
+    /// under a `search.chunk[c]` span (closed on the worker thread that
     /// ran it) carrying roots, steps, backtracks, and matches. `None`
     /// keeps the search on its unobserved path; the outcome is
     /// identical either way.
-    pub trace: Option<Arc<TraceSink>>,
+    pub trace: Option<Arc<Telemetry>>,
 }
 
 impl Default for SearchConfig {
@@ -579,12 +579,7 @@ pub(crate) fn search_indexed_with_checks(
             deadline: cfg.deadline,
             stop: None,
         };
-        let start = cfg.trace.as_ref().map(|_| Instant::now());
-        let out = run_roots(&ctx, &mut Scratch::new(pattern, g)).0;
-        if let (Some(sink), Some(start)) = (&cfg.trace, start) {
-            trace_chunk(sink, start, 0, roots.len(), &out);
-        }
-        return out;
+        return run_chunk(&ctx, &mut Scratch::new(pattern, g), cfg, 0).0;
     }
     search_parallel(
         pattern,
@@ -599,20 +594,21 @@ pub(crate) fn search_indexed_with_checks(
     )
 }
 
-/// Records one root chunk's exploration as a complete trace event on
-/// the calling (worker) thread.
-fn trace_chunk(sink: &TraceSink, start: Instant, chunk: usize, roots: usize, out: &SearchOutcome) {
-    sink.complete(
-        format!("search.chunk[{chunk}]"),
-        "search",
-        start,
-        vec![
-            ("roots", ArgValue::UInt(roots as u64)),
-            ("steps", ArgValue::UInt(out.steps)),
-            ("backtracks", ArgValue::UInt(out.backtracks)),
-            ("matches", ArgValue::UInt(out.mappings.len() as u64)),
-        ],
-    );
+/// Explores `ctx.roots` as root chunk `chunk`, under a
+/// `search.chunk[chunk]` span when `cfg` carries a telemetry handle.
+fn run_chunk(
+    ctx: &Ctx<'_>,
+    scratch: &mut Scratch,
+    cfg: &SearchConfig,
+    chunk: usize,
+) -> (SearchOutcome, bool) {
+    let mut span = Span::phase(cfg.trace.as_deref(), "search.chunk", "search").at(chunk);
+    let (out, complete) = run_roots(ctx, scratch);
+    span.arg("roots", ArgValue::UInt(ctx.roots.len() as u64));
+    span.arg("steps", ArgValue::UInt(out.steps));
+    span.arg("backtracks", ArgValue::UInt(out.backtracks));
+    span.arg("matches", ArgValue::UInt(out.mappings.len() as u64));
+    (out, complete)
 }
 
 /// Per-chunk bookkeeping for the completed-prefix early-exit protocol.
@@ -680,11 +676,7 @@ fn search_parallel(
                         deadline: cfg.deadline,
                         stop: Some(&stop),
                     };
-                    let start = cfg.trace.as_ref().map(|_| Instant::now());
-                    let (outcome, complete) = run_roots(&ctx, &mut scratch);
-                    if let (Some(sink), Some(start)) = (&cfg.trace, start) {
-                        trace_chunk(sink, start, c, hi - lo, &outcome);
-                    }
+                    let (outcome, complete) = run_chunk(&ctx, &mut scratch, cfg, c);
                     if outcome.timed_out {
                         stop.store(true, Ordering::Relaxed);
                     }
@@ -1031,7 +1023,7 @@ mod tests {
         }
     }
 
-    /// A trace sink changes nothing observable; each explored chunk is
+    /// Tracing changes nothing observable; each explored chunk is
     /// recorded, and under parallel execution events land on worker
     /// threads.
     #[test]
@@ -1040,20 +1032,20 @@ mod tests {
         let p = Pattern::structural(labeled_clique(&["A"; 4]));
         let seq = run(&p, &g, &SearchConfig::default());
         for threads in [1, 2, 8] {
-            let sink = gql_core::TraceSink::new();
+            let tel = Arc::new(Telemetry::new().with_tracing());
             let traced = run(
                 &p,
                 &g,
                 &SearchConfig {
                     threads,
-                    trace: Some(Arc::clone(&sink)),
+                    trace: Some(Arc::clone(&tel)),
                     ..SearchConfig::default()
                 },
             );
             assert_eq!(traced.mappings, seq.mappings, "threads={threads}");
             assert_eq!(traced.steps, seq.steps, "threads={threads}");
-            assert!(!sink.is_empty(), "threads={threads}");
-            let events = sink.events();
+            let events = tel.events();
+            assert!(!events.is_empty(), "threads={threads}");
             let steps: u64 = events
                 .iter()
                 .flat_map(|e| &e.args)

@@ -153,7 +153,9 @@ fn profiled_counters_are_identical_across_thread_counts() {
     let profile = |threads: usize| {
         let obs = gql_core::Obs::new();
         let opts = MatchOptions {
-            obs: Some(obs.clone()),
+            telemetry: Some(std::sync::Arc::new(
+                gql_core::Telemetry::new().with_obs(obs.clone()),
+            )),
             ..MatchOptions::optimized()
         };
         for q in &queries {
@@ -179,7 +181,7 @@ fn profiled_counters_are_identical_across_thread_counts() {
 
 #[test]
 fn trace_and_explain_are_deterministic_across_thread_counts() {
-    // With the trace sink attached and EXPLAIN on, the logical outputs
+    // With tracing and EXPLAIN on, the logical outputs
     // — mappings, steps, backtracks, refine levels, and every
     // cardinality annotated on the operator tree — must match the
     // uninstrumented threads=1 run exactly. Only wall-clock props
@@ -206,10 +208,9 @@ fn trace_and_explain_are_deterministic_across_thread_counts() {
         let plain = run(&p, &g, &MatchOptions::optimized(), 1);
         let mut baseline_tree = None;
         for threads in THREADS {
-            let sink = gql_core::TraceSink::new();
+            let tel = std::sync::Arc::new(gql_core::Telemetry::new().with_tracing().with_explain());
             let opts = MatchOptions {
-                trace: Some(sink.clone()),
-                explain: true,
+                telemetry: Some(tel.clone()),
                 ..MatchOptions::optimized()
             };
             let rep = run(&p, &g, &opts, threads);
@@ -219,8 +220,8 @@ fn trace_and_explain_are_deterministic_across_thread_counts() {
                 rep.search_backtracks, plain.search_backtracks,
                 "threads={threads}"
             );
-            assert!(!sink.is_empty(), "trace events recorded");
-            gql_core::validate_json(&sink.render_chrome_json()).unwrap();
+            assert!(!tel.events().is_empty(), "trace events recorded");
+            gql_core::validate_json(&tel.render_chrome_json()).unwrap();
             let tree = strip_times(rep.explain.as_ref().expect("explain tree"));
             match &baseline_tree {
                 None => baseline_tree = Some(tree),
@@ -251,7 +252,9 @@ fn planner_pipeline_is_deterministic_across_thread_counts() {
         let opts = MatchOptions {
             planner: Some(planner.clone()),
             refine: gql_match::RefineLevel::Auto,
-            obs: Some(obs.clone()),
+            telemetry: Some(std::sync::Arc::new(
+                gql_core::Telemetry::new().with_obs(obs.clone()),
+            )),
             ..MatchOptions::optimized()
         };
         let mut outputs = Vec::new();

@@ -191,7 +191,9 @@ fn obs_counters_match_unplanned_modulo_planner_accounting() {
         let obs = gql_core::Obs::new();
         let planner = with_planner.then(|| Arc::new(Planner::new()));
         let opts = MatchOptions {
-            obs: Some(obs.clone()),
+            telemetry: Some(std::sync::Arc::new(
+                gql_core::Telemetry::new().with_obs(obs.clone()),
+            )),
             planner: planner.clone(),
             ..MatchOptions::optimized()
         };

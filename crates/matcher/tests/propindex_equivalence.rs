@@ -360,7 +360,9 @@ fn assert_equivalent(tagbase: &str, g: &Graph, p: &Pattern) {
         let obs = Obs::new();
         let opts = MatchOptions {
             threads,
-            obs: Some(obs.clone()),
+            telemetry: Some(std::sync::Arc::new(
+                gql_core::Telemetry::new().with_obs(obs.clone()),
+            )),
             ..MatchOptions::optimized()
         };
         let rep = match_pattern(p, g, &index, &opts);

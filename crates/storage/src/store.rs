@@ -152,7 +152,7 @@ pub struct Store {
     dir: PathBuf,
     wal: Wal,
     next_seq: u64,
-    obs: Option<Arc<Obs>>,
+    obs: Arc<Obs>,
 }
 
 impl Store {
@@ -163,9 +163,9 @@ impl Store {
         Store::open_with(dir, OpenOptions::default())
     }
 
-    /// [`Store::open_with`] without a metrics sink.
+    /// [`Store::open_observed`] recording into a registry of its own.
     pub fn open_with(dir: &Path, opts: OpenOptions) -> Result<(Store, Restored)> {
-        Store::open_observed(dir, opts, None)
+        Store::open_observed(dir, opts, Obs::new())
     }
 
     /// Opens (creating if absent) the database directory: removes
@@ -173,7 +173,7 @@ impl Store {
     /// segment (mapped or read per `opts`), replays the WAL on top
     /// (truncating any torn tail), and returns the recovered state.
     ///
-    /// When `obs` is attached, the open records segment open counters
+    /// The open records segment open counters into `obs`
     /// (`storage.segment.open`, `.mapped`/`.owned`, `.verify_eager`),
     /// lazy per-section CRC checks (`storage.crc.lazy_checks` /
     /// `storage.crc_fail`), WAL replay/torn-tail counters, and the
@@ -183,7 +183,7 @@ impl Store {
     pub fn open_observed(
         dir: &Path,
         opts: OpenOptions,
-        obs: Option<Arc<Obs>>,
+        obs: Arc<Obs>,
     ) -> Result<(Store, Restored)> {
         fs::create_dir_all(dir)?;
         for entry in fs::read_dir(dir)? {
@@ -198,49 +198,39 @@ impl Store {
         if manifest_path.exists() {
             seq = read_manifest(&manifest_path)?;
             let seg_path = dir.join(format!("checkpoint-{seq}.seg"));
-            if let Some(obs) = &obs {
-                obs.add("storage.segment.open", 1);
-                if opts.verify {
-                    obs.add("storage.segment.verify_eager", 1);
-                }
+            obs.add("storage.segment.open", 1);
+            if opts.verify {
+                obs.add("storage.segment.verify_eager", 1);
             }
             restored = if opts.mmap {
                 let segmap = SegmentMap::open(&seg_path)?;
-                if let Some(obs) = &obs {
-                    // is_mapped distinguishes a real mapping from the
-                    // non-unix read-into-memory fallback.
-                    obs.add(
-                        if segmap.is_mapped() {
-                            "storage.segment.mapped"
-                        } else {
-                            "storage.segment.owned"
-                        },
-                        1,
-                    );
-                }
+                // is_mapped distinguishes a real mapping from the
+                // non-unix read-into-memory fallback.
+                obs.add(
+                    if segmap.is_mapped() {
+                        "storage.segment.mapped"
+                    } else {
+                        "storage.segment.owned"
+                    },
+                    1,
+                );
                 let map: Arc<dyn ByteBuffer> = Arc::new(segmap);
                 let seg = Segment::open(map, opts.verify)?;
-                if let Some(obs) = &obs {
-                    obs.set_gauge("storage.live_segment_bytes", seg.byte_len() as u64);
-                }
+                obs.set_gauge("storage.live_segment_bytes", seg.byte_len() as u64);
                 // Lazy mode: per-section CRCs for decoded sections are
                 // checked at access below; the raw index arrays rely on
                 // structural validation instead.
-                restore_segment(&seg, !opts.verify, true, obs.as_ref())?
+                restore_segment(&seg, !opts.verify, true, &obs)?
             } else {
                 // Read-into-memory path: Segment::parse verifies every
                 // checksum while the bytes are hot.
-                if let Some(obs) = &obs {
-                    obs.add("storage.segment.owned", 1);
-                }
+                obs.add("storage.segment.owned", 1);
                 let seg = Segment::parse(fs::read(&seg_path)?)?;
-                if let Some(obs) = &obs {
-                    obs.set_gauge("storage.live_segment_bytes", seg.byte_len() as u64);
-                }
-                restore_segment(&seg, false, false, None)?
+                obs.set_gauge("storage.live_segment_bytes", seg.byte_len() as u64);
+                restore_segment(&seg, false, false, &obs)?
             };
         }
-        let (wal, records) = Wal::open_observed(&dir.join(WAL_FILE), obs.clone())?;
+        let (wal, records) = Wal::open(&dir.join(WAL_FILE), Arc::clone(&obs))?;
         for rec in records {
             apply_record(&mut restored, rec)?;
         }
@@ -267,7 +257,7 @@ impl Store {
     /// fixed-size buffer with an incremental CRC; no section (let alone
     /// the segment) is materialized in memory first.
     pub fn checkpoint(&mut self, snap: &Snapshot) -> Result<()> {
-        let _ckpt_span = self.obs.as_ref().map(|o| o.span("storage.checkpoint"));
+        let _ckpt_span = self.obs.span("storage.checkpoint");
         let seq = self.next_seq;
         let mut declared: Vec<(&str, &str)> = Vec::new();
         if snap.options.is_some() {
@@ -288,10 +278,7 @@ impl Store {
 
         let tmp_path = self.dir.join(format!("checkpoint-{seq}.tmp"));
         let seg_name = format!("checkpoint-{seq}.seg");
-        let write_span = self
-            .obs
-            .as_ref()
-            .map(|o| o.span("storage.checkpoint.write"));
+        let write_span = self.obs.span("storage.checkpoint.write");
         let mut w = SegmentWriter::create(fs::File::create(&tmp_path)?, &declared)?;
         if let Some(options) = &snap.options {
             w.begin_section(KIND_META, META_OPTIONS);
@@ -323,18 +310,12 @@ impl Store {
         drop(file);
         drop(write_span);
         {
-            let _rename_span = self
-                .obs
-                .as_ref()
-                .map(|o| o.span("storage.checkpoint.rename"));
+            let _rename_span = self.obs.span("storage.checkpoint.rename");
             fs::rename(&tmp_path, self.dir.join(&seg_name))?;
             sync_dir(&self.dir)?;
         }
         {
-            let _manifest_span = self
-                .obs
-                .as_ref()
-                .map(|o| o.span("storage.checkpoint.manifest"));
+            let _manifest_span = self.obs.span("storage.checkpoint.manifest");
             let mut manifest = Vec::with_capacity(16);
             manifest.extend_from_slice(MANIFEST_MAGIC);
             manifest.extend_from_slice(&seq.to_le_bytes());
@@ -347,19 +328,13 @@ impl Store {
             sync_dir(&self.dir)?;
         }
         {
-            let _truncate_span = self
-                .obs
-                .as_ref()
-                .map(|o| o.span("storage.checkpoint.truncate"));
+            let _truncate_span = self.obs.span("storage.checkpoint.truncate");
             self.wal.reset()?;
         }
         // Compaction: only the published segment survives on disk. A
         // snapshot still holding the old segment's mapping keeps its
         // pages alive (unix semantics); the directory entry goes now.
-        let _compact_span = self
-            .obs
-            .as_ref()
-            .map(|o| o.span("storage.checkpoint.compact"));
+        let _compact_span = self.obs.span("storage.checkpoint.compact");
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             let fname = entry.file_name();
@@ -368,11 +343,9 @@ impl Store {
                 let _ = fs::remove_file(entry.path());
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.add("storage.checkpoints", 1);
-            if let Ok(meta) = fs::metadata(self.dir.join(&seg_name)) {
-                obs.set_gauge("storage.live_segment_bytes", meta.len());
-            }
+        self.obs.add("storage.checkpoints", 1);
+        if let Ok(meta) = fs::metadata(self.dir.join(&seg_name)) {
+            self.obs.set_gauge("storage.live_segment_bytes", meta.len());
         }
         self.next_seq = seq + 1;
         Ok(())
@@ -427,19 +400,11 @@ fn read_manifest(path: &Path) -> Result<u64> {
 /// mode deferred checksums. Each deferred check is counted, and a
 /// failure bumps `storage.crc_fail` (the `/healthz` degraded signal)
 /// before the error propagates.
-fn checked_bytes<'a>(
-    sec: &Section<'a>,
-    check_crc: bool,
-    obs: Option<&Arc<Obs>>,
-) -> Result<&'a [u8]> {
+fn checked_bytes<'a>(sec: &Section<'a>, check_crc: bool, obs: &Obs) -> Result<&'a [u8]> {
     if check_crc {
-        if let Some(obs) = obs {
-            obs.add("storage.crc.lazy_checks", 1);
-        }
+        obs.add("storage.crc.lazy_checks", 1);
         if let Err(e) = sec.verify() {
-            if let Some(obs) = obs {
-                obs.add("storage.crc_fail", 1);
-            }
+            obs.add("storage.crc_fail", 1);
             return Err(e);
         }
     }
@@ -453,12 +418,7 @@ fn checked_bytes<'a>(
 /// corrupt byte there surfaces as a loud reopen error, not a checksum
 /// pass over gigabytes of cold pages. `mapped` selects zero-copy
 /// adoption for the index arrays.
-fn restore_segment(
-    seg: &Segment,
-    check_crc: bool,
-    mapped: bool,
-    obs: Option<&Arc<Obs>>,
-) -> Result<Restored> {
+fn restore_segment(seg: &Segment, check_crc: bool, mapped: bool, obs: &Obs) -> Result<Restored> {
     let mut restored = Restored {
         mapped,
         ..Restored::default()

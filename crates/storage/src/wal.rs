@@ -116,21 +116,16 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     len: u64,
-    obs: Option<Arc<Obs>>,
+    obs: Arc<Obs>,
 }
 
 impl Wal {
     /// Opens (creating if absent) the log at `path`, replays the
     /// committed prefix, truncates any torn tail, and returns the
-    /// decoded records in append order.
-    pub fn open(path: &Path) -> Result<(Wal, Vec<WalRecord>)> {
-        Wal::open_observed(path, None)
-    }
-
-    /// [`Wal::open`] with a metrics sink attached: replayed frames,
-    /// torn-tail truncations, append/fsync latency, and the committed
-    /// size gauge are recorded into `obs` for the lifetime of the log.
-    pub fn open_observed(path: &Path, obs: Option<Arc<Obs>>) -> Result<(Wal, Vec<WalRecord>)> {
+    /// decoded records in append order. Replayed frames, torn-tail
+    /// truncations, append/fsync latency, and the committed size gauge
+    /// are recorded into `obs` for the lifetime of the log.
+    pub fn open(path: &Path, obs: Arc<Obs>) -> Result<(Wal, Vec<WalRecord>)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -143,15 +138,11 @@ impl Wal {
         if (good_end as u64) < bytes.len() as u64 {
             file.set_len(good_end as u64)?;
             file.sync_all()?;
-            if let Some(obs) = &obs {
-                obs.add("storage.wal.torn_tail", 1);
-            }
+            obs.add("storage.wal.torn_tail", 1);
         }
         file.seek(SeekFrom::Start(good_end as u64))?;
-        if let Some(obs) = &obs {
-            obs.add("storage.wal.replay_frames", records.len() as u64);
-            obs.set_gauge("storage.wal_size", good_end as u64);
-        }
+        obs.add("storage.wal.replay_frames", records.len() as u64);
+        obs.set_gauge("storage.wal_size", good_end as u64);
         Ok((
             Wal {
                 file,
@@ -166,7 +157,7 @@ impl Wal {
     /// Appends one record and syncs it to disk before returning: once
     /// `append` succeeds, the record survives any crash.
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        let _append_span = self.obs.as_ref().map(|o| o.span("storage.wal.append"));
+        let _append_span = self.obs.span("storage.wal.append");
         let payload = rec.encode();
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -176,12 +167,10 @@ impl Wal {
         let fsync_start = Instant::now();
         self.file.sync_data()?;
         self.len += frame.len() as u64;
-        if let Some(obs) = &self.obs {
-            obs.record("storage.wal.fsync", fsync_start.elapsed());
-            obs.add("storage.wal.appends", 1);
-            obs.add("storage.wal.append_bytes", frame.len() as u64);
-            obs.set_gauge("storage.wal_size", self.len);
-        }
+        self.obs.record("storage.wal.fsync", fsync_start.elapsed());
+        self.obs.add("storage.wal.appends", 1);
+        self.obs.add("storage.wal.append_bytes", frame.len() as u64);
+        self.obs.set_gauge("storage.wal_size", self.len);
         Ok(())
     }
 
@@ -192,9 +181,7 @@ impl Wal {
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_all()?;
         self.len = 0;
-        if let Some(obs) = &self.obs {
-            obs.set_gauge("storage.wal_size", 0);
-        }
+        self.obs.set_gauge("storage.wal_size", 0);
         Ok(())
     }
 
@@ -262,13 +249,13 @@ mod tests {
     fn append_then_reopen_replays_in_order() {
         let dir = tmpdir("replay");
         let path = dir.join("wal.log");
-        let (mut wal, initial) = Wal::open(&path).unwrap();
+        let (mut wal, initial) = Wal::open(&path, Obs::new()).unwrap();
         assert!(initial.is_empty());
         for r in sample_records() {
             wal.append(&r).unwrap();
         }
         drop(wal);
-        let (_, replayed) = Wal::open(&path).unwrap();
+        let (_, replayed) = Wal::open(&path, Obs::new()).unwrap();
         assert_eq!(replayed, sample_records());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -279,7 +266,7 @@ mod tests {
     fn torn_tail_truncates_to_last_committed_record() {
         let dir = tmpdir("torn");
         let path = dir.join("wal.log");
-        let (mut wal, _) = Wal::open(&path).unwrap();
+        let (mut wal, _) = Wal::open(&path, Obs::new()).unwrap();
         for r in sample_records() {
             wal.append(&r).unwrap();
         }
@@ -295,7 +282,7 @@ mod tests {
         }
         for cut in two..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let (_, replayed) = Wal::open(&path).unwrap();
+            let (_, replayed) = Wal::open(&path, Obs::new()).unwrap();
             assert_eq!(replayed, sample_records()[..2], "cut at {cut}");
             // And the file was physically truncated to the good prefix.
             assert_eq!(std::fs::read(&path).unwrap().len(), two, "cut at {cut}");
@@ -309,7 +296,7 @@ mod tests {
     fn bit_flips_in_final_record_are_rejected() {
         let dir = tmpdir("flip");
         let path = dir.join("wal.log");
-        let (mut wal, _) = Wal::open(&path).unwrap();
+        let (mut wal, _) = Wal::open(&path, Obs::new()).unwrap();
         for r in sample_records() {
             wal.append(&r).unwrap();
         }
@@ -324,7 +311,7 @@ mod tests {
             let mut corrupted = full.clone();
             corrupted[i] ^= 0xff;
             std::fs::write(&path, &corrupted).unwrap();
-            let (_, replayed) = Wal::open(&path).unwrap();
+            let (_, replayed) = Wal::open(&path, Obs::new()).unwrap();
             // A flipped length byte may make the frame short (torn) or
             // mismatch the CRC; either way record 3 must not survive,
             // and records 1-2 must.
@@ -337,14 +324,14 @@ mod tests {
     fn reset_empties_the_log() {
         let dir = tmpdir("reset");
         let path = dir.join("wal.log");
-        let (mut wal, _) = Wal::open(&path).unwrap();
+        let (mut wal, _) = Wal::open(&path, Obs::new()).unwrap();
         wal.append(&sample_records()[0]).unwrap();
         assert!(wal.size() > 0);
         wal.reset().unwrap();
         assert_eq!(wal.size(), 0);
         wal.append(&sample_records()[1]).unwrap();
         drop(wal);
-        let (_, replayed) = Wal::open(&path).unwrap();
+        let (_, replayed) = Wal::open(&path, Obs::new()).unwrap();
         assert_eq!(replayed, vec![sample_records()[1].clone()]);
         std::fs::remove_dir_all(&dir).unwrap();
     }

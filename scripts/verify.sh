@@ -47,6 +47,19 @@ python3 -m json.tool "$obs_tmp/trace.json" > /dev/null \
     || { echo "trace file is not valid JSON"; exit 1; }
 grep -q 'gql_engine_flwr_seconds_count' "$obs_tmp/metrics.prom" \
     || { echo "metrics file missing engine.flwr"; exit 1; }
+# The same-spans contract: every engine/op/match phase timed in the
+# metrics file is also an event on the trace timeline (one span feeds
+# both), compared in the exposition's sanitized names.
+python3 - "$obs_tmp/metrics.prom" "$obs_tmp/trace.json" <<'PY' \
+    || { echo "metrics phases missing from the trace"; exit 1; }
+import json, re, sys
+prom = open(sys.argv[1]).read()
+phases = set(re.findall(r"^gql_(engine_flwr|op_\w+|match_\w+)_seconds_count ", prom, re.M))
+events = {e["name"].replace(".", "_") for e in json.load(open(sys.argv[2]))["traceEvents"]}
+missing = sorted(phases - events)
+if len(phases) < 3 or missing:
+    sys.exit(f"phases {sorted(phases)}; missing from the trace: {missing}")
+PY
 grep -q -- "-- result" "$obs_tmp/results.txt" || { echo "results missing from stdout"; exit 1; }
 if grep -qE "loaded|profile|flwr|ok" "$obs_tmp/results.txt"; then
     echo "diagnostics leaked to stdout"; exit 1
