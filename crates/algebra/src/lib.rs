@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cindex;
 pub mod compile;
 pub mod error;
 pub mod expr;
@@ -28,7 +27,6 @@ pub mod ops;
 pub mod recursive;
 pub mod template;
 
-pub use cindex::{select_with_index, CollectionIndex};
 pub use compile::{compile_pattern, compile_pattern_text, CompiledPattern, PatternRegistry};
 pub use error::{AlgebraError, Result};
 pub use expr::{AlgebraCtx, AlgebraExpr};

@@ -11,7 +11,9 @@
 //! the paper's §4 build on:
 //!
 //! - [`neighborhood`]: radius-r neighborhood subgraphs and their label
-//!   [`Profile`]s (§4.2 local pruning);
+//!   [`Profile`]s — the `Value`-typed form that encodes a pattern
+//!   node's profile for §4.2 local pruning and serves as the test
+//!   oracle for the interned data-side profiles;
 //! - [`intern`]: the `Value ↔ u32` label dictionary and signature-carrying
 //!   [`IdProfile`]s behind the matcher's interned fast path;
 //! - [`iso`]: trusted (unoptimized) subgraph-isomorphism oracles;

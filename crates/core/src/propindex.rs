@@ -95,9 +95,9 @@ impl ProbeOp {
 /// One sorted run for a `(label, attribute)` pair, stored
 /// structure-of-arrays: the sorted keys and a parallel id slab. The
 /// split keeps binary-search probes touching only the key column, and
-/// the id column rides the owned-or-mapped [`Slab`] substrate the rest
-/// of the read path uses (`Value` keys are heap-structured and stay
-/// owned).
+/// the id column rides the owned-or-mapped [`Slab`](crate::Slab)
+/// substrate the rest of the read path uses (`Value` keys are
+/// heap-structured and stay owned).
 #[derive(Debug, Clone, Default)]
 pub struct Run {
     /// Sorted by `Value::cmp` (ties grouped; ids break ties ascending).

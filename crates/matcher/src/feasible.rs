@@ -6,18 +6,20 @@
 //! condition (retrieve-by-profiles). Figure 4.17 is reproduced in the
 //! tests.
 //!
-//! Profile pruning runs on the index's *interned* fast path: the pattern
-//! profile is encoded once as an [`gql_core::IdProfile`] and each
-//! candidate is first screened by the O(1) 64-bit signature test, then
-//! by the exact id-multiset containment — no `Value` comparisons and no
-//! per-candidate profile clones. The `Value`-typed kernel lives on as the
-//! equivalence oracle in `tests/support`.
+//! Profile pruning runs on *interned* profiles only: the pattern profile
+//! is encoded once as an [`gql_core::IdProfile`] and each candidate is
+//! first screened by the O(1) 64-bit signature test against its
+//! precomputed profile, then by the exact id-multiset containment — no
+//! `Value` comparisons and no per-candidate profile clones. An index
+//! without radius-r profiles computes each candidate's interned profile
+//! from the CSR snapshot instead. The `Value`-typed kernel lives on as
+//! the equivalence oracle in `tests/support`.
 
 use crate::expr::{EvalCtx, Expr};
 use crate::index::GraphIndex;
 use crate::pattern::Pattern;
 use gql_core::iso::subgraph_isomorphic_anchored;
-use gql_core::{neighborhood_subgraph, Graph, NodeId, ProbeOp, Profile, Value};
+use gql_core::{neighborhood_subgraph, Graph, NodeId, ProbeOp, Profile, ProfileScratch, Value};
 
 /// Local pruning strategy for feasible-mate retrieval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -313,8 +315,8 @@ pub fn estimated_access(pattern: &Pattern, index: &GraphIndex, u: NodeId) -> u64
 trait RejectSink {
     /// `n` candidates failed the O(1) profile length/signature screen.
     fn sig_rejected(&mut self, n: u64);
-    /// One candidate failed the exact containment / sub-isomorphism test.
-    fn exact_rejected(&mut self);
+    /// `n` candidates failed the exact containment / sub-isomorphism test.
+    fn exact_rejected(&mut self, n: u64);
 }
 
 /// The zero-sized no-op sink of the un-instrumented kernel.
@@ -324,7 +326,7 @@ impl RejectSink for NoStats {
     #[inline(always)]
     fn sig_rejected(&mut self, _: u64) {}
     #[inline(always)]
-    fn exact_rejected(&mut self) {}
+    fn exact_rejected(&mut self, _: u64) {}
 }
 
 impl RejectSink for RetrieveStats {
@@ -333,8 +335,8 @@ impl RejectSink for RetrieveStats {
         self.sig_rejected += n;
     }
     #[inline]
-    fn exact_rejected(&mut self) {
-        self.exact_rejected += 1;
+    fn exact_rejected(&mut self, n: u64) {
+        self.exact_rejected += n;
     }
 }
 
@@ -352,42 +354,48 @@ fn mates_for<S: RejectSink>(
     match pruning {
         LocalPruning::NodeAttributes => {}
         LocalPruning::Profiles { radius } => {
+            let precomputed = index.has_profiles() && index.radius() == radius;
             let pu = Profile::of_neighborhood(&pattern.graph, u, radius);
-            if index.has_profiles() && index.radius() == radius {
-                // Interned fast path: encode the pattern profile once.
-                match index.interner().encode_profile(&pu) {
-                    Some(pid) => base.retain(|&v| {
-                        let pv = index.id_profile(v);
-                        if pid.signature_rejects(pv) {
-                            sink.sig_rejected(1);
-                            false
-                        } else if !pid.contained_exact(pv) {
-                            sink.exact_rejected();
-                            false
-                        } else {
-                            true
-                        }
-                    }),
-                    None => {
-                        // An unencodable profile contains a label absent
-                        // from the data graph, so nothing can subsume it:
-                        // the whole base is rejected by the (vacuous)
-                        // signature screen.
-                        sink.sig_rejected(base.len() as u64);
-                        base.clear();
+            // Encode the pattern profile once.
+            match index.interner().encode_profile(&pu) {
+                None => {
+                    // An unencodable profile contains a label absent from
+                    // the data graph, so nothing can subsume it: the whole
+                    // base is rejected, by the (vacuous) signature screen
+                    // when the index carries the profiles.
+                    let n = base.len() as u64;
+                    if precomputed {
+                        sink.sig_rejected(n);
+                    } else {
+                        sink.exact_rejected(n);
                     }
+                    base.clear();
                 }
-            } else {
-                // Index lacks radius-`radius` profiles: compute data
-                // profiles on the fly (owned, but never cloned from the
-                // index).
-                base.retain(|&v| {
-                    let keep = pu.subsumed_by(&Profile::of_neighborhood(g, v, radius));
-                    if !keep {
-                        sink.exact_rejected();
+                Some(pid) if precomputed => base.retain(|&v| {
+                    let pv = index.id_profile(v);
+                    if pid.signature_rejects(pv) {
+                        sink.sig_rejected(1);
+                        false
+                    } else if !pid.contained_exact(pv) {
+                        sink.exact_rejected(1);
+                        false
+                    } else {
+                        true
                     }
-                    keep
-                });
+                }),
+                Some(pid) => {
+                    // Index lacks radius-`radius` profiles: compute each
+                    // candidate's with the build's BFS over the CSR.
+                    let mut scratch = ProfileScratch::new();
+                    base.retain(|&v| {
+                        let pv = index.csr().id_profile(v, radius, &mut scratch);
+                        let keep = pid.contained_exact(&pv);
+                        if !keep {
+                            sink.exact_rejected(1);
+                        }
+                        keep
+                    });
+                }
             }
         }
         LocalPruning::Subgraphs { radius } => {
@@ -401,7 +409,7 @@ fn mates_for<S: RejectSink>(
                     subgraph_isomorphic_anchored(&nu.graph, &nv.graph, (nu.center, nv.center))
                 };
                 if !keep {
-                    sink.exact_rejected();
+                    sink.exact_rejected(1);
                 }
                 keep
             });
@@ -604,6 +612,15 @@ mod tests {
         assert_eq!(names(&g, &m[0]), ["A1"]);
         assert_eq!(names(&g, &m[1]), ["B1", "B2"]);
         assert_eq!(names(&g, &m[2]), ["C2"]);
+        // Without precomputed profiles there is no signature screen: a
+        // pattern label absent from the data charges the whole base to
+        // the exact test.
+        let zp = Pattern::structural(gql_core::fixtures::labeled_path(&["A", "Z"]));
+        let pruning = LocalPruning::Profiles { radius: 1 };
+        let (zm, zs) = feasible_mates_stats_par(&zp, &g, &plain, pruning, 1);
+        assert!(zm.iter().all(|m| m.is_empty()));
+        assert_eq!((zs.sig_rejected, zs.exact_rejected), (0, zs.candidates));
+        assert!(zs.candidates > 0);
     }
 
     /// The per-node stats observed through `retrieve_nodes` return the

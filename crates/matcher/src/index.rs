@@ -5,18 +5,19 @@
 //! ... one can index the node attributes using a B-tree or hashtable, and
 //! store the neighborhood subgraphs or profiles as well."
 //!
-//! Every index additionally *interns* the label domain: each distinct
-//! node or edge `label` value gets a dense `u32` id, the per-node and
-//! per-edge ids live in flat arrays, `by_label` is keyed by label id,
-//! and profiles are re-encoded as sorted id sequences with a 64-bit
-//! signature ([`IdProfile`]). The interned structures are derived from
-//! the same `Value` data, so every lookup through them is observably
-//! equivalent to the `Value`-based one — they just make the §4.2/§4.3
-//! kernels integer-compare-and-bitset cheap.
+//! Every index *interns* the label domain: each distinct node or edge
+//! `label` value gets a dense `u32` id, the per-node ids live in the
+//! [`CsrGraph`] snapshot and the per-edge ids in a flat array,
+//! `by_label` is keyed by label id, and each node's radius-r profile is
+//! one sorted id sequence with a 64-bit signature ([`IdProfile`]) — the
+//! only profile representation an index holds. Interning is a bijection
+//! on the graph's labels, so every lookup through these tables is
+//! observably equivalent to one over the `Value` data; it just makes the
+//! §4.2/§4.3 kernels integer-compare-and-bitset cheap.
 
 use gql_core::{
     neighborhood_subgraph, CsrGraph, CsrParts, EdgeId, Graph, GraphStats, IdProfile, LabelInterner,
-    NeighborhoodSubgraph, NodeId, Profile, ProfileScratch, PropIndex, Slab, Value, NO_LABEL,
+    NeighborhoodSubgraph, NodeId, ProfileScratch, PropIndex, Slab, Value, NO_LABEL,
 };
 
 /// What a [`GraphIndex::build_with`] call should materialize.
@@ -60,7 +61,9 @@ impl Default for IndexOptions {
 pub struct IndexParts {
     /// The interner's value table in id order (id `i` = `values[i]`).
     pub interner_values: Vec<Value>,
-    /// Per-node label ids in node order.
+    /// Per-node label ids in node order. The index itself keeps them
+    /// only in its CSR snapshot; the copy persisted here lets
+    /// [`GraphIndex::from_parts`] cross-check the two arrays read back.
     pub node_label_ids: Slab<u32>,
     /// Per-edge label ids in edge order.
     pub edge_label_ids: Slab<u32>,
@@ -84,19 +87,19 @@ pub struct IndexParts {
 }
 
 /// Per-graph index: label-id table over the `label` attribute plus
-/// optional precomputed radius-`r` profiles and neighborhood subgraphs,
-/// and the cache-contiguous [`CsrGraph`] snapshot the
-/// search/refine/profile kernels run on.
+/// optional precomputed radius-`r` interned profiles and neighborhood
+/// subgraphs, and the cache-contiguous [`CsrGraph`] snapshot the
+/// search/refine/profile kernels run on (which also holds the per-node
+/// label ids).
 #[derive(Debug, Default)]
 pub struct GraphIndex {
     interner: std::sync::Arc<LabelInterner>,
-    /// Node label ids in node order ([`NO_LABEL`] for unlabeled nodes).
-    node_label_ids: Slab<u32>,
     /// Edge label ids in edge order ([`NO_LABEL`] for unlabeled edges).
     edge_label_ids: Slab<u32>,
     /// Nodes per label, indexed by label id (node order within each).
     by_label: Vec<Vec<NodeId>>,
-    profiles: Vec<Profile>,
+    /// Interned radius-`radius` profile per node, or empty when the
+    /// index was built without profiles.
     id_profiles: Vec<IdProfile>,
     neighborhoods: Vec<NeighborhoodSubgraph>,
     csr: CsrGraph,
@@ -130,13 +133,6 @@ impl GraphIndex {
     /// subgraphs of radius `r` (heavier; used by retrieve-by-subgraphs).
     pub fn build_full(g: &Graph, radius: usize) -> Self {
         Self::build_inner(g, radius, true, true, 1, true)
-    }
-
-    /// [`GraphIndex::build_full`] with per-node profile/neighborhood
-    /// computation spread across `threads` workers (`0` = available
-    /// cores). The resulting index is identical.
-    pub fn build_full_par(g: &Graph, radius: usize, threads: usize) -> Self {
-        Self::build_inner(g, radius, true, true, threads, true)
     }
 
     /// Builds exactly what `opts` asks for — the one constructor that
@@ -206,22 +202,14 @@ impl GraphIndex {
         });
         // Per-node profiles and neighborhood balls are independent; fan
         // them out across workers in node order. The interned profiles
-        // come straight from the snapshot's zero-allocation BFS and the
-        // `Value` profiles are decoded from them.
+        // come straight from the snapshot's zero-allocation BFS.
         let ids: Vec<NodeId> = g.node_ids().collect();
-        let (profiles, id_profiles) = if profiles {
-            let id_profiles = gql_core::par_map_index_with(
-                ids.len(),
-                threads,
-                ProfileScratch::new,
-                |scratch, i| csr.id_profile(ids[i], radius, scratch),
-            );
-            let profiles = gql_core::par_map_slice(&id_profiles, threads, |p| {
-                Profile::from_labels(p.ids().iter().map(|&id| interner.resolve(id).clone()))
-            });
-            (profiles, id_profiles)
+        let id_profiles = if profiles {
+            gql_core::par_map_index_with(ids.len(), threads, ProfileScratch::new, |scratch, i| {
+                csr.id_profile(ids[i], radius, scratch)
+            })
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         let neighborhoods = if subgraphs {
             gql_core::par_map_slice(&ids, threads, |&v| neighborhood_subgraph(g, v, radius))
@@ -230,10 +218,8 @@ impl GraphIndex {
         };
         GraphIndex {
             interner,
-            node_label_ids: node_label_ids.into(),
             edge_label_ids: edge_label_ids.into(),
             by_label,
-            profiles,
             id_profiles,
             neighborhoods,
             csr,
@@ -246,8 +232,8 @@ impl GraphIndex {
     /// Extracts the expensive derived state for checkpointing: the
     /// interned-label table, both label-id arrays, the raw CSR arrays,
     /// and the interned profile id multisets. Everything else the index
-    /// holds (`by_label`, `Value` profiles, statistics, property runs)
-    /// is cheap to re-derive at reopen and is therefore *not* persisted.
+    /// holds (`by_label`, statistics, property runs) is cheap to
+    /// re-derive at reopen and is therefore *not* persisted.
     pub fn to_parts(&self) -> IndexParts {
         // Flatten the per-node profiles into one offsets + ids pair —
         // the layout a mapped segment serves back as two plain slabs.
@@ -264,13 +250,14 @@ impl GraphIndex {
             }
             (offsets.into(), ids.into())
         };
+        let csr = self.csr.to_parts();
         IndexParts {
             interner_values: (0..self.interner.len() as u32)
                 .map(|id| self.interner.resolve(id).clone())
                 .collect(),
-            node_label_ids: self.node_label_ids.clone(),
+            node_label_ids: csr.node_labels.clone(),
             edge_label_ids: self.edge_label_ids.clone(),
-            csr: Some(self.csr.to_parts()),
+            csr: Some(csr),
             profile_offsets,
             profile_ids,
             radius: self.radius,
@@ -433,10 +420,6 @@ impl GraphIndex {
             }
             out
         };
-        let profiles: Vec<Profile> = id_profiles
-            .iter()
-            .map(|p| Profile::from_labels(p.ids().iter().map(|&id| interner.resolve(id).clone())))
-            .collect();
         let mut stats =
             GraphStats::from_interned(std::sync::Arc::clone(&interner), g, &parts.node_label_ids);
         let prop = parts.prop_index.then(|| {
@@ -448,10 +431,8 @@ impl GraphIndex {
         });
         Ok(GraphIndex {
             interner,
-            node_label_ids: parts.node_label_ids,
             edge_label_ids: parts.edge_label_ids,
             by_label,
-            profiles,
             id_profiles,
             neighborhoods: Vec::new(),
             csr,
@@ -483,12 +464,12 @@ impl GraphIndex {
     /// Label id of node `v` ([`NO_LABEL`] if unlabeled).
     #[inline]
     pub fn node_label_id(&self, v: NodeId) -> u32 {
-        self.node_label_ids[v.index()]
+        self.csr.node_label(v)
     }
 
     /// Per-node label ids in node order.
     pub fn node_label_ids(&self) -> &[u32] {
-        &self.node_label_ids
+        self.csr.node_labels()
     }
 
     /// Per-edge label ids in edge order ([`NO_LABEL`] if unlabeled).
@@ -501,11 +482,6 @@ impl GraphIndex {
         self.radius
     }
 
-    /// Precomputed profile of `v` (panics if profiles were not built).
-    pub fn profile(&self, v: NodeId) -> &Profile {
-        &self.profiles[v.index()]
-    }
-
     /// Precomputed interned profile of `v` (panics if profiles were not
     /// built).
     #[inline]
@@ -515,7 +491,7 @@ impl GraphIndex {
 
     /// Whether profiles were materialized.
     pub fn has_profiles(&self) -> bool {
-        !self.profiles.is_empty()
+        !self.id_profiles.is_empty()
     }
 
     /// Precomputed neighborhood subgraph of `v` (panics if not built).
@@ -554,6 +530,19 @@ mod tests {
     use super::*;
     use gql_core::fixtures::figure_4_16_graph;
 
+    /// Oracle for `idx.id_profile(v)` independent of the CSR: the
+    /// interned labels of `v`'s radius-`r` ball as extracted from the
+    /// `Graph` adjacency.
+    fn graph_profile(idx: &GraphIndex, g: &Graph, v: NodeId, r: usize) -> IdProfile {
+        let ball = neighborhood_subgraph(g, v, r).graph;
+        IdProfile::from_ids(
+            ball.node_ids()
+                .filter_map(|w| ball.node_label(w))
+                .map(|l| idx.interner().lookup(l).unwrap())
+                .collect(),
+        )
+    }
+
     #[test]
     fn label_lookup() {
         let (g, ids) = figure_4_16_graph();
@@ -573,7 +562,7 @@ mod tests {
         assert!(idx.has_neighborhoods());
         assert_eq!(idx.radius(), 1);
         // A2's r=1 profile is {A, B}.
-        assert_eq!(idx.profile(ids[1]).len(), 2);
+        assert_eq!(idx.id_profile(ids[1]).len(), 2);
         // A1's r=1 neighborhood is the triangle.
         assert_eq!(idx.neighborhood(ids[0]).graph.node_count(), 3);
         assert_eq!(idx.neighborhood(ids[0]).graph.edge_count(), 3);
@@ -598,12 +587,11 @@ mod tests {
             idx.nodes_with_label_id(gql_core::NO_LABEL),
             &[] as &[NodeId]
         );
-        // Id profiles carry the same multiset sizes as Value profiles.
+        // Id profiles encode the graph's own neighborhood profiles.
         for v in g.node_ids() {
-            assert_eq!(idx.id_profile(v).len(), idx.profile(v).len());
+            assert_eq!(idx.id_profile(v), &graph_profile(&idx, &g, v, 1));
         }
-        // A2 ⊆ A1 as profiles (AB ⊆ ABC), in both encodings.
-        assert!(idx.profile(ids[1]).subsumed_by(idx.profile(ids[0])));
+        // A2 ⊆ A1 as profiles (AB ⊆ ABC).
         assert!(idx.id_profile(ids[1]).subsumed_by(idx.id_profile(ids[0])));
     }
 
@@ -648,8 +636,8 @@ mod tests {
         assert_eq!(back.interner().len(), idx.interner().len());
         assert_eq!(back.radius(), idx.radius());
         for v in g.node_ids() {
+            assert_eq!(back.id_profile(v), &graph_profile(&back, &g, v, 1));
             assert_eq!(back.id_profile(v), idx.id_profile(v));
-            assert_eq!(back.profile(v), idx.profile(v));
         }
         for label in ["A", "B", "C"] {
             assert_eq!(

@@ -21,7 +21,7 @@
 //! the inner `v' ∈ Φ(u')` probe of the bipartite build is a single
 //! shift-and-mask. The mark table is a flat `Vec<bool>` over
 //! `(pattern, data)` pairs, and each worker reuses one
-//! [`RefineScratch`] (bipartite adjacency, Hopcroft–Karp arrays,
+//! `RefineScratch` (bipartite adjacency, Hopcroft–Karp arrays,
 //! neighbor-position table), so steady-state levels allocate nothing
 //! per pair. Within a level every check reads only the level-(l−1)
 //! bitsets, so the per-level worklist can fan out across

@@ -37,7 +37,7 @@
 //! # Interned edge checks
 //!
 //! [`search_indexed`] accepts the data graph's [`GraphIndex`] and
-//! precomputes one [`EdgeCheck`] per pattern edge: a motif-edge `label`
+//! precomputes one `EdgeCheck` per pattern edge: a motif-edge `label`
 //! constraint becomes a single `u32` compare against the index's
 //! per-edge label-id table, executed *before* (and — when the label is
 //! the edge's only constraint — *instead of*) the `Value`-typed tuple
@@ -178,7 +178,7 @@ fn indexable_edge_probe(pred: &Expr, pe: EdgeId) -> Option<(&str, ProbeOp, &Valu
     }
 }
 
-/// The pattern-sized half of the per-edge plan: one [`EdgeCheck`] per
+/// The pattern-sized half of the per-edge plan: one `EdgeCheck` per
 /// pattern edge, plus the probe-derived allowed-edge id lists they point
 /// into. Owns no index data beyond those materialized lists, so a
 /// planner can cache it across searches and hand it back to the search

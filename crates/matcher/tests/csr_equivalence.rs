@@ -251,9 +251,8 @@ fn bfs_distances_match() {
 }
 
 /// Index profiles built from the CSR snapshot's BFS are byte-identical
-/// to the materializing `Profile::of_neighborhood` walk over the
-/// `Graph`, for both the interned and the `Value` form, at radius 1
-/// and 2.
+/// to the encoded `Profile::of_neighborhood` walk over the `Graph`, at
+/// radius 1 and 2.
 #[test]
 fn index_profiles_match_graph_path() {
     for (name, g) in fixtures() {
@@ -262,11 +261,6 @@ fn index_profiles_match_graph_path() {
                 let index = GraphIndex::build_with_profiles_par(&g, radius, threads);
                 for v in g.node_ids() {
                     let want = Profile::of_neighborhood(&g, v, radius);
-                    assert_eq!(
-                        index.profile(v),
-                        &want,
-                        "{name}/r{radius}/t{threads}: profile of {v:?}"
-                    );
                     assert_eq!(
                         Some(index.id_profile(v)),
                         index.interner().encode_profile(&want).as_ref(),
@@ -328,6 +322,13 @@ fn assert_retrieval_agrees(p: &Pattern, g: &Graph, index: &GraphIndex, tag: &str
             want.iter().map(|m| m.len() as u64).sum::<u64>(),
             "{tag}: kept"
         );
+        // Only precomputed radius-r profiles carry signatures; without
+        // them every rejection is charged to the exact test.
+        let precomputed = matches!(pruning, LocalPruning::Profiles { radius }
+            if index.has_profiles() && index.radius() == radius);
+        if !precomputed {
+            assert_eq!(want_stats.sig_rejected, 0, "{tag}: no signature screen");
+        }
         for threads in THREADS {
             let (plain, access) = feasible_mates_access_par(p, g, index, pruning, threads);
             let (counted, stats) = feasible_mates_stats_par(p, g, index, pruning, threads);

@@ -15,8 +15,8 @@ use rustc_hash::{FxHashMap, FxHashSet};
 /// Reference (oracle) implementation of `feasible_mates`: the
 /// `Value`-typed §4.2 local-pruning kernel over the attribute-retrieved
 /// base (`LocalPruning::NodeAttributes`, which prunes nothing). Profile
-/// pruning borrows the precomputed `Value` profile and materializes one
-/// only when computing on the fly.
+/// pruning computes every data profile from the `Graph` itself, never
+/// from the index under test.
 pub fn feasible_mates_reference(
     pattern: &Pattern,
     g: &Graph,
@@ -33,16 +33,7 @@ pub fn feasible_mates_reference(
             LocalPruning::Profiles { radius } => {
                 let pu = Profile::of_neighborhood(&pattern.graph, u, radius);
                 base.into_iter()
-                    .filter(|&v| {
-                        let owned;
-                        let pv: &Profile = if index.has_profiles() && index.radius() == radius {
-                            index.profile(v)
-                        } else {
-                            owned = Profile::of_neighborhood(g, v, radius);
-                            &owned
-                        };
-                        pu.subsumed_by(pv)
-                    })
+                    .filter(|&v| pu.subsumed_by(&Profile::of_neighborhood(g, v, radius)))
                     .collect()
             }
             // Subgraph pruning never touched the interned tables;

@@ -12,10 +12,11 @@
 //! graph built the slow way, so a first open of a bulk-loaded
 //! directory already takes the segment-read fast path.
 //!
-//! Validation mirrors [`Graph::add_edge`]: endpoints must be in range,
-//! self-loops are rejected, and duplicate edges (either order for
-//! undirected graphs) are rejected — plus the bulk-only requirement
-//! that edge sources arrive in non-decreasing order.
+//! Validation mirrors [`Graph::add_edge`](gql_core::Graph::add_edge):
+//! endpoints must be in range, self-loops are rejected, and duplicate
+//! edges (either order for undirected graphs) are rejected — plus the
+//! bulk-only requirement that edge sources arrive in non-decreasing
+//! order.
 
 use crate::codec::StoredOptions;
 use crate::store::CollectionSnapshot;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The one verification gate: formatting, lints, release build, the full
-# test suite (once), CLI smokes, and the standing benchmark's build +
-# self-test. CI runs exactly this script; run it locally before pushing.
+# The one verification gate: formatting, lints, rustdoc links, release
+# build, the full test suite (once), CLI smokes, and the standing
+# benchmark's build + self-test. CI runs exactly this script; run it
+# locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +11,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release --workspace
