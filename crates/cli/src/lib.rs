@@ -199,11 +199,12 @@ alive N milliseconds after the program completes so a scraper can
 collect the final state.
 
 `--data-dir DIR` opens DIR as a persistent database: checkpoint
-segments are loaded (indexes and planner feedback restored without a
-rebuild), the write-ahead log is replayed on top (a torn tail is
-truncated), and every mutation the program makes — collections loaded
-with --data, `let` variables, assignments — is logged to the WAL before
-it is applied. The directory is created if missing.
+segments are loaded (indexes restored without a rebuild; planner
+feedback is not persisted and starts empty), the write-ahead log is
+replayed on top (a torn tail is truncated), and every mutation the
+program makes — collections loaded with --data, `let` variables,
+assignments — is logged to the WAL before it is applied. The directory
+is created if missing.
 
 `--checkpoint` (requires --data-dir) writes a checkpoint after the
 program completes: the full state is serialized to a new segment,

@@ -20,8 +20,8 @@
 //! - [`stats`]: label frequencies feeding the §4.4 cost model;
 //! - [`propindex`]: sorted per-(label, attribute) value runs backing the
 //!   matcher's predicate pushdown (equality/range probes);
-//! - [`plan`]: renaming-invariant plan-cache keys and execution
-//!   feedback statistics for the feedback-driven planner;
+//! - [`plan`]: renaming-invariant plan-cache keys and the per-shape
+//!   execution feedback the matcher's planner keeps in memory;
 //! - [`builder`]: union-find node unification backing the composition
 //!   operator's `unify` semantics (§2.1, §3.4);
 //! - [`csr`]: the read-only cache-contiguous CSR adjacency snapshot the
@@ -81,9 +81,7 @@ pub use obs::trace::{ArgValue, TraceEvent};
 pub use obs::{Obs, ObsMark, ObsReport, PhaseStats};
 pub use op::BinOp;
 pub use par::{par_map_index, par_map_index_with, par_map_slice, resolve_threads};
-pub use plan::{
-    shape_key, FeedbackStore, LabelFeedback, PlanCache, PlanKey, ShapeDesc, ShapeFeedback,
-};
+pub use plan::{shape_key, PlanCache, PlanKey, ShapeDesc, ShapeFeedback};
 pub use propindex::{ProbeOp, PropIndex, Run};
 pub use slab::{pod_bytes, ByteBuffer, OwnedBytes, Pod, Slab};
 pub use stats::GraphStats;

@@ -1,9 +1,8 @@
-//! Plan-cache keys and feedback statistics for the query planner.
+//! Plan-cache keys and the feedback record of the query planner.
 //!
 //! The §4.4 optimizer derives a join order from *static* label
 //! frequencies ([`crate::stats::GraphStats`]). This module supplies the
-//! two ingredients that let an engine close the loop described in
-//! ROADMAP item 3:
+//! ingredients the matcher's planner builds on:
 //!
 //! 1. **Shape keys** ([`shape_key`]): a renaming-invariant hash of a
 //!    query motif, computed by Weisfeiler–Leman color refinement over
@@ -12,13 +11,12 @@
 //!    renaming hash to the same key; motifs differing in labels or
 //!    predicates get different seeds and therefore (modulo hash
 //!    collisions) different keys.
-//! 2. **Feedback statistics** ([`FeedbackStore`]): observed candidate
-//!    sizes, pruning ratios, and cardinalities from executed queries,
-//!    recorded per (shape, graph scope) and per (scope, label). Later
-//!    plannings consult these before falling back to the static
-//!    `GraphStats` probabilities.
+//! 2. **Shape feedback** ([`ShapeFeedback`]): what the last run of a
+//!    motif observed — its refinement yield and its cardinality against
+//!    the estimate. The planner keeps one slot per (shape, graph scope)
+//!    in memory, beside its plan cache.
 //!
-//! [`PlanCache`] is the generation-stamped memo map both are keyed
+//! [`PlanCache`] is the generation-stamped memo map plans are keyed
 //! into; it mirrors the engine's index-cache lifecycle (entries are
 //! invalidated wholesale when the underlying graphs mutate).
 
@@ -223,7 +221,7 @@ impl<P> PlanCache<P> {
 }
 
 /// Observed execution feedback for one motif shape on one graph scope.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShapeFeedback {
     /// Number of recorded runs.
     pub runs: u64,
@@ -231,22 +229,11 @@ pub struct ShapeFeedback {
     pub candidate_space: u64,
     /// Candidates removed by refinement (last run).
     pub refine_removed: u64,
-    /// Bipartite checks refinement spent (last run).
-    pub refine_checks: u64,
-    /// Post-refinement candidate-set sizes per pattern node (last run).
-    pub refined_sizes: Vec<u32>,
-    /// DFS steps taken (last run).
-    pub search_steps: u64,
     /// Matches produced (last run).
     pub matches: u64,
     /// The optimizer's estimated final cardinality for the run, kept so
     /// later plannings can report (and correct for) estimate error.
     pub estimated_size: f64,
-    /// Label-bucket sizes summed over pattern nodes whose retrieval
-    /// went through the secondary property index (last run).
-    pub probe_bucket: u64,
-    /// Ids those index probes produced, summed the same way (last run).
-    pub probe_hits: u64,
 }
 
 impl ShapeFeedback {
@@ -266,116 +253,6 @@ impl ShapeFeedback {
             return None;
         }
         Some((self.matches as f64).max(1e-9) / self.estimated_size.max(1e-9))
-    }
-
-    /// Fraction of probed label buckets the index probes actually
-    /// surfaced in the last run — the observed predicate selectivity.
-    /// `None` until a run routed at least one node through the index.
-    pub fn probe_hit_fraction(&self) -> Option<f64> {
-        if self.probe_bucket == 0 {
-            return None;
-        }
-        Some(self.probe_hits as f64 / self.probe_bucket as f64)
-    }
-}
-
-/// Observed candidate counts for one node label on one graph scope:
-/// `estimated` comes from static [`crate::stats::GraphStats`]
-/// frequencies, `observed` from the actual retrieval phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LabelFeedback {
-    /// Number of recorded observations.
-    pub runs: u64,
-    /// Static estimate of the candidate count (label frequency).
-    pub estimated: u64,
-    /// Observed post-pruning candidate count (last run).
-    pub observed: u64,
-}
-
-impl LabelFeedback {
-    /// `observed / estimated` correction factor, `None` when the static
-    /// estimate was zero (nothing to correct).
-    pub fn correction(&self) -> Option<f64> {
-        if self.estimated == 0 {
-            return None;
-        }
-        Some(self.observed as f64 / self.estimated as f64)
-    }
-}
-
-/// Per-shape and per-label feedback recorded from executed queries.
-/// Scoped by `(graph_scope)` so concurrent per-graph σ workers write
-/// disjoint slots; cleared together with the plan cache on mutation.
-#[derive(Debug, Clone, Default)]
-pub struct FeedbackStore {
-    shapes: FxHashMap<(u64, u64), ShapeFeedback>,
-    labels: FxHashMap<(u64, u32), LabelFeedback>,
-}
-
-impl FeedbackStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        FeedbackStore::default()
-    }
-
-    /// Records one run's feedback for `(shape, scope)`; last-run fields
-    /// are overwritten, `runs` accumulates.
-    pub fn record_shape(&mut self, shape: u64, scope: u64, mut fb: ShapeFeedback) {
-        let slot = self.shapes.entry((shape, scope)).or_default();
-        fb.runs = slot.runs + 1;
-        *slot = fb;
-    }
-
-    /// Feedback for `(shape, scope)` if any run was recorded.
-    pub fn shape(&self, shape: u64, scope: u64) -> Option<&ShapeFeedback> {
-        self.shapes.get(&(shape, scope))
-    }
-
-    /// Records an estimated-vs-observed candidate count for a label.
-    pub fn record_label(&mut self, scope: u64, label: u32, estimated: u64, observed: u64) {
-        let slot = self.labels.entry((scope, label)).or_default();
-        slot.runs += 1;
-        slot.estimated = estimated;
-        slot.observed = observed;
-    }
-
-    /// Label feedback for `(scope, label)` if observed.
-    pub fn label(&self, scope: u64, label: u32) -> Option<&LabelFeedback> {
-        self.labels.get(&(scope, label))
-    }
-
-    /// Drops everything (graph mutated; observations are stale).
-    pub fn clear(&mut self) {
-        self.shapes.clear();
-        self.labels.clear();
-    }
-
-    /// Iterates all recorded shape slots as `((shape, scope), feedback)`
-    /// — the checkpoint serializer's view of the store.
-    pub fn shapes(&self) -> impl Iterator<Item = (&(u64, u64), &ShapeFeedback)> {
-        self.shapes.iter()
-    }
-
-    /// Iterates all recorded label slots as `((scope, label), feedback)`.
-    pub fn labels(&self) -> impl Iterator<Item = (&(u64, u32), &LabelFeedback)> {
-        self.labels.iter()
-    }
-
-    /// Installs a shape slot verbatim (including its `runs` count) —
-    /// the checkpoint *restore* path, as opposed to
-    /// [`FeedbackStore::record_shape`] which models one new run.
-    pub fn restore_shape(&mut self, shape: u64, scope: u64, fb: ShapeFeedback) {
-        self.shapes.insert((shape, scope), fb);
-    }
-
-    /// Installs a label slot verbatim (restore path).
-    pub fn restore_label(&mut self, scope: u64, label: u32, fb: LabelFeedback) {
-        self.labels.insert((scope, label), fb);
-    }
-
-    /// Number of shape slots recorded.
-    pub fn shape_count(&self) -> usize {
-        self.shapes.len()
     }
 }
 
@@ -443,31 +320,17 @@ mod tests {
     }
 
     #[test]
-    fn feedback_roundtrip() {
-        let mut f = FeedbackStore::new();
-        f.record_shape(
-            5,
-            0,
-            ShapeFeedback {
-                candidate_space: 100,
-                refine_removed: 1,
-                estimated_size: 8.0,
-                matches: 4,
-                probe_bucket: 40,
-                probe_hits: 10,
-                ..ShapeFeedback::default()
-            },
-        );
-        let fb = f.shape(5, 0).unwrap();
-        assert_eq!(fb.runs, 1);
+    fn feedback_ratios() {
+        let fb = ShapeFeedback {
+            runs: 1,
+            candidate_space: 100,
+            refine_removed: 1,
+            estimated_size: 8.0,
+            matches: 4,
+        };
         assert!((fb.refine_yield().unwrap() - 0.01).abs() < 1e-12);
         assert!((fb.cardinality_error().unwrap() - 0.5).abs() < 1e-12);
-        assert!((fb.probe_hit_fraction().unwrap() - 0.25).abs() < 1e-12);
-        assert_eq!(ShapeFeedback::default().probe_hit_fraction(), None);
-        assert!(f.shape(5, 1).is_none(), "scopes are disjoint");
-        f.record_label(0, 3, 10, 4);
-        assert!((f.label(0, 3).unwrap().correction().unwrap() - 0.4).abs() < 1e-12);
-        f.clear();
-        assert_eq!(f.shape_count(), 0);
+        assert_eq!(ShapeFeedback::default().refine_yield(), None);
+        assert_eq!(ShapeFeedback::default().cardinality_error(), None);
     }
 }

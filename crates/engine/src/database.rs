@@ -6,7 +6,6 @@ use crate::metrics::{MetricsRegistry, SlowQuery};
 use crate::server::MetricsServer;
 use gql_algebra::{compile_pattern, ops, CompiledPattern, PatternRegistry, TemplateEnv};
 use gql_core::storage::{encode_collection, encode_graph};
-use gql_core::FeedbackStore;
 use gql_core::{
     ArgValue, ExplainNode, Graph, GraphCollection, ObsMark, ObsReport, Span, Telemetry,
 };
@@ -40,16 +39,6 @@ const STORED_OPTIONS: StoredOptions = StoredOptions {
     radius: 1,
 };
 
-/// Checkpointed index sections decoded at open (zero-copy views into
-/// the mapped segment) but not yet validated or published: adoption
-/// runs on the collection's *first read*, so a cold open stays
-/// O(manifest + directory) and collections a session never touches
-/// never fault in (or copy) their index pages at all.
-struct PendingAdoption {
-    parts: Vec<IndexParts>,
-    feedback: Option<FeedbackStore>,
-}
-
 /// A GraphQL database: "one or more collections of graphs" (§3.1) plus
 /// the session state a program builds up (declared patterns and graph
 /// variables).
@@ -66,10 +55,13 @@ pub struct Database {
     /// checkpoint pages backing adopted index slabs) stay valid for as
     /// long as they hold the old snapshot.
     snapshots: FxHashMap<String, Arc<GraphSnapshot>>,
-    /// Checkpointed index parts awaiting first-touch adoption (see
-    /// [`PendingAdoption`]); retired alongside [`Database::snapshots`]
-    /// on mutation.
-    adoptable: FxHashMap<String, PendingAdoption>,
+    /// Checkpointed index sections decoded at open (zero-copy views
+    /// into the mapped segment) but not yet validated or published:
+    /// adoption runs on the collection's *first read*, so a cold open
+    /// stays O(manifest + directory) and collections a session never
+    /// touches never fault in (or copy) their index pages at all.
+    /// Retired alongside [`Database::snapshots`] on mutation.
+    adoptable: FxHashMap<String, Vec<IndexParts>>,
     /// Monotonic generation source for [`Database::snapshots`]: every
     /// snapshot this engine builds gets a strictly larger epoch, so a
     /// plan compiled against one generation can never be replayed
@@ -152,11 +144,11 @@ impl Database {
     /// the published checkpoint segment, replays the WAL over it
     /// (truncating any torn tail), and — when the checkpoint was written
     /// under the same index options — adopts the checkpointed index
-    /// arrays and planner feedback instead of rebuilding them. Adoption
-    /// is validated on each collection's *first read*, so a cold open
-    /// costs O(manifest + directory) and untouched collections never
-    /// fault in their index sections; collections touched by WAL
-    /// records since the checkpoint re-index lazily on first query.
+    /// arrays instead of rebuilding them. Adoption is validated on each
+    /// collection's *first read*, so a cold open costs O(manifest +
+    /// directory) and untouched collections never fault in their index
+    /// sections; collections touched by WAL records since the
+    /// checkpoint re-index lazily on first query.
     pub fn open(dir: &Path) -> Result<Database> {
         Database::open_with(dir, OpenOptions::default())
     }
@@ -190,13 +182,7 @@ impl Database {
                         // the decoded parts are zero-copy views into
                         // the (possibly mapped) segment, so untouched
                         // collections cost nothing past the directory.
-                        db.adoptable.insert(
-                            rc.name.clone(),
-                            PendingAdoption {
-                                parts,
-                                feedback: rc.feedback,
-                            },
-                        );
+                        db.adoptable.insert(rc.name.clone(), parts);
                     }
                 }
             }
@@ -238,11 +224,12 @@ impl Database {
         self.store_error.as_deref()
     }
 
-    /// Writes a checkpoint: every collection (with its index arrays and
-    /// planner feedback) and variable is serialized into a fresh
-    /// segment, atomically published, and the WAL is truncated. Indexes
-    /// not yet built are built now so the checkpoint always carries
-    /// them. Errors if any earlier WAL append failed.
+    /// Writes a checkpoint: every collection (with its index arrays) and
+    /// variable is serialized into a fresh segment, atomically
+    /// published, and the WAL is truncated. Snapshots not yet built are
+    /// built now, exactly as a query would build them, so the
+    /// checkpoint always carries the indexes. Errors if any earlier WAL
+    /// append failed.
     pub fn checkpoint(&mut self) -> Result<()> {
         if let Some(err) = self.store_error.take() {
             return Err(EngineError::Storage(err));
@@ -258,28 +245,12 @@ impl Database {
         };
         let mut names: Vec<String> = self.collections.keys().cloned().collect();
         names.sort();
+        let opts = self.options.clone();
         for name in names {
-            let snapshot = match self.snapshots.get(&name) {
-                Some(s) => Arc::clone(s),
-                None => match self.adopt_pending(&name)? {
-                    Some(adopted) => adopted,
-                    None => {
-                        self.next_generation += 1;
-                        let built = ops::build_collection_snapshot(
-                            &self.collections[&name],
-                            self.next_generation,
-                            None,
-                            &self.options,
-                        );
-                        self.snapshots.insert(name.clone(), Arc::clone(&built));
-                        built
-                    }
-                },
-            };
+            let (snapshot, _) = self.read_snapshot(&name, &opts)?;
             snap.collections.push(CollectionSnapshot {
                 payload: encode_collection(self.collections[&name].iter()),
                 indexes: snapshot.indexes().iter().map(|ix| ix.to_parts()).collect(),
-                feedback: snapshot.planner().map(|p| p.export_feedback()),
                 name,
             });
         }
@@ -337,13 +308,6 @@ impl Database {
                 pl.invalidate();
             }
         }
-    }
-
-    /// The planner (plan cache + feedback store) serving a collection,
-    /// if one has been created by a query since the collection was last
-    /// replaced.
-    pub fn planner(&self, source: &str) -> Option<&Arc<Planner>> {
-        self.snapshots.get(source)?.planner()
     }
 
     /// The immutable read-path snapshot currently serving a collection,
@@ -584,27 +548,16 @@ impl Database {
         env
     }
 
-    /// The snapshot serving a σ over `source` (which must exist),
-    /// building the next generation if none is cached. Returns the
-    /// `Arc` handed to the σ plus whether it was a cache hit. When a
-    /// cached snapshot lacks a planner (checkpoint-built), one is
-    /// attached at the *same* generation — the data didn't change.
+    /// The snapshot serving reads of `source` (which must exist) — a σ
+    /// or a checkpoint — building the next generation if none is
+    /// cached. Returns the `Arc` plus whether it was a cache hit.
     fn read_snapshot(
         &mut self,
         source: &str,
         opts: &MatchOptions,
     ) -> Result<(Arc<GraphSnapshot>, bool)> {
         if let Some(s) = self.snapshots.get(source) {
-            if s.planner().is_some() {
-                return Ok((Arc::clone(s), true));
-            }
-            let snap = Arc::new(GraphSnapshot::new(
-                s.generation(),
-                s.indexes().to_vec(),
-                Some(Arc::new(Planner::new())),
-            ));
-            self.snapshots.insert(source.to_string(), Arc::clone(&snap));
-            return Ok((snap, true));
+            return Ok((Arc::clone(s), true));
         }
         if let Some(snap) = self.adopt_pending(source)? {
             // The checkpoint *is* the cache: adopting it on first touch
@@ -629,26 +582,22 @@ impl Database {
     /// invariant and a rejection is a loud storage error surfaced to
     /// the query (or checkpoint) that first touched the collection.
     fn adopt_pending(&mut self, name: &str) -> Result<Option<Arc<GraphSnapshot>>> {
-        let Some(pending) = self.adoptable.remove(name) else {
+        let Some(parts) = self.adoptable.remove(name) else {
             return Ok(None);
         };
         let adopted: std::result::Result<Vec<Arc<GraphIndex>>, &'static str> = self.collections
             [name]
             .iter()
-            .zip(pending.parts)
+            .zip(parts)
             .map(|(g, p)| GraphIndex::from_parts(g, p).map(Arc::new))
             .collect();
         match adopted {
             Ok(ix) => {
-                let planner = Planner::new();
-                if let Some(fb) = pending.feedback {
-                    planner.import_feedback(fb);
-                }
                 self.next_generation += 1;
                 let snap = Arc::new(GraphSnapshot::new(
                     self.next_generation,
                     ix,
-                    Some(Arc::new(planner)),
+                    Some(Arc::new(Planner::new())),
                 ));
                 self.snapshots.insert(name.to_string(), Arc::clone(&snap));
                 Ok(Some(snap))
@@ -1108,13 +1057,17 @@ mod tests {
         let rep = db.profile_report();
         assert_eq!(rep.counter("planner.cache.hits"), Some(1));
         assert_eq!(rep.counter("planner.cache.misses"), Some(1));
-        let planner = db.planner("G").expect("planner created").clone();
+        let planner = db
+            .snapshot("G")
+            .and_then(|s| s.planner())
+            .expect("planner created")
+            .clone();
         assert_eq!(planner.cached_plans(), 1);
         let generation = planner.generation();
 
         // Mutation: the planner is invalidated alongside the indexes.
         db.add_graph("G", g.clone());
-        assert!(db.planner("G").is_none());
+        assert!(db.snapshot("G").is_none());
         assert!(planner.generation() > generation, "generation bumped");
         assert_eq!(planner.cached_plans(), 0);
         let third = db.execute(query).unwrap();
@@ -1219,43 +1172,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Satellite: planner feedback statistics survive checkpoint/reopen,
-    /// so cardinality corrections don't restart cold — with identical
-    /// query results before and after.
+    /// `feedback_runs` of every order node in `node`'s tree, in order.
+    fn feedback_runs(node: &ExplainNode, out: &mut Vec<u64>) {
+        for (k, v) in &node.props {
+            if let ("feedback_runs", ArgValue::UInt(n)) = (k.as_str(), v) {
+                out.push(*n);
+            }
+        }
+        for c in &node.children {
+            feedback_runs(c, out);
+        }
+    }
+
+    /// Planner feedback is in-memory state: a checkpoint-built snapshot
+    /// carries its planner from the start (later queries reuse it), and
+    /// a reopened database plans from no feedback — with identical
+    /// query results.
     #[test]
-    fn planner_feedback_persists_through_checkpoint_and_reopen() {
+    fn planner_feedback_starts_cold_after_reopen() {
         let dir = tmpdir("feedback");
         let (g, _) = figure_4_16_graph();
+        let runs = |db: &Database| {
+            let mut out = Vec::new();
+            for tree in db.explain_trees() {
+                feedback_runs(tree, &mut out);
+            }
+            out
+        };
         let mut db = Database::open(&dir).unwrap();
         db.add_graph("G", g);
+        db.checkpoint().unwrap();
+        let built = Arc::clone(db.snapshot("G").expect("checkpoint built a snapshot"));
+        assert!(built.planner().is_some(), "built with its planner");
+        db.enable_explain();
         let before = db.execute(PERSIST_QUERY).unwrap();
-        let exported = db.planner("G").expect("planner created").export_feedback();
-        assert!(
-            exported.shapes().next().is_some(),
-            "query must have recorded shape feedback"
-        );
+        db.execute(PERSIST_QUERY).unwrap();
+        assert!(Arc::ptr_eq(&built, db.snapshot("G").unwrap()));
+        assert_eq!(runs(&db), [0, 1]);
         db.checkpoint().unwrap();
         drop(db);
 
         let mut db = Database::open(&dir).unwrap();
-        // Adoption is lazy (first read); force it so the planner is
-        // published without running a query that would record fresh
-        // feedback on top of the imported store.
-        db.adopt_pending("G")
-            .unwrap()
-            .expect("pending adoption after reopen");
-        let restored = db
-            .planner("G")
-            .expect("feedback-backed planner restored at adoption")
-            .export_feedback();
-        let key = |fb: &gql_core::FeedbackStore| {
-            let mut v: Vec<_> = fb.shapes().map(|(k, s)| (*k, s.clone())).collect();
-            v.sort_by_key(|(k, _)| *k);
-            v
-        };
-        assert_eq!(key(&restored), key(&exported));
+        db.enable_explain();
         let after = db.execute(PERSIST_QUERY).unwrap();
         assert_eq!(after.returned[0].len(), before.returned[0].len());
+        assert_eq!(runs(&db), [0], "feedback is not persisted");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

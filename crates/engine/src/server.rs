@@ -104,12 +104,15 @@ fn read_line_capped(reader: &mut impl BufRead, cap: u64, line: &mut Vec<u8>) -> 
     Ok(line.last() == Some(&b'\n') || (line.len() as u64) < cap)
 }
 
+/// Sends the whole response in one write: after an oversized request
+/// the unread tail turns the close into a reset, and a response split
+/// over several writes could reach the client cut short.
 fn respond(mut stream: TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

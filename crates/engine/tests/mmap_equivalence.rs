@@ -43,8 +43,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 /// A checkpointed data directory holding one collection `G` (several
-/// graphs, so the per-graph σ workers engage) with indexes and planner
-/// feedback in the segment.
+/// graphs, so the per-graph σ workers engage) with its indexes in the
+/// segment.
 fn checkpointed_dir(tag: &str) -> PathBuf {
     let dir = tmpdir(tag);
     let mut db = Database::open(&dir).expect("create");
@@ -58,7 +58,7 @@ fn checkpointed_dir(tag: &str) -> PathBuf {
         }));
     }
     db.add_collection("G", coll);
-    // Run the query once so the checkpoint carries planner feedback.
+    // Run the query once, so the checkpoint saves the snapshot it built.
     db.execute(QUERY).expect("seed query");
     db.close().expect("checkpoint");
     dir

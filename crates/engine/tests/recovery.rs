@@ -255,7 +255,6 @@ fn checkpoint_recorded_without_csr_reopens_and_reindexes() {
                 name: "G".into(),
                 payload: encode_collection([&g]),
                 indexes: vec![parts],
-                feedback: None,
             }],
             ..Snapshot::default()
         })
@@ -277,6 +276,79 @@ fn checkpoint_recorded_without_csr_reopens_and_reindexes() {
             "stale index sections must be rebuilt, not adopted"
         );
         assert_eq!(rep.counter("engine.index_cache.hits").unwrap_or(0), 0);
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Payload of a `feedback` section as checkpoints wrote it while
+/// planner feedback was persisted: one shape slot (shape
+/// `0x9e37_79b9_7f4a_7c15`, scope 0, 2 runs, candidate space 9, 1
+/// removed, 6 checks, refined sizes `[3, 2]`, 7 steps, 4 matches,
+/// estimate 4.5, probe bucket 5, 2 probe hits) and one label slot
+/// (scope 0, label 1, 2 runs, estimated 5, observed 3).
+const OLD_FEEDBACK_PAYLOAD: [u8; 37] = [
+    1, 149, 248, 169, 250, 151, 183, 222, 155, 158, 1, 0, 2, 9, 1, 6, 2, 3, 2, 7, 4, 0, 0, 0, 0, 0,
+    0, 18, 64, 5, 2, 1, 0, 1, 2, 5, 3,
+];
+
+/// A data dir whose checkpoint still carries a `feedback` section (the
+/// segment is re-emitted here with one after `G`'s index section)
+/// opens mapped, owned, and fully verified; the section is skipped,
+/// the index arrays are adopted without a rebuild, and answers are
+/// unchanged.
+#[test]
+fn checkpoint_with_old_feedback_section_reopens_unchanged() {
+    use gql_core::storage::ByteSink;
+    use gql_storage::{OpenOptions, Segment, SegmentWriter};
+
+    let dir = tmpdir("oldfeedback");
+    let g = test_graph();
+    let mut db = Database::open(&dir).unwrap();
+    db.add_graph("G", g.clone());
+    let first = run_query(&mut db);
+    db.close().unwrap();
+
+    let seg_path = fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "seg"))
+        .expect("published segment");
+    let seg = Segment::parse(fs::read(&seg_path).unwrap()).unwrap();
+    assert!(
+        seg.sections().all(|s| s.kind() != "feedback"),
+        "checkpoints no longer write feedback"
+    );
+    let mut declared: Vec<(&str, &str)> = Vec::new();
+    for s in seg.sections() {
+        declared.push((s.kind(), s.name()));
+        if s.kind() == "indexes" {
+            declared.push(("feedback", s.name()));
+        }
+    }
+    assert!(declared.contains(&("feedback", "G")));
+    let mut w = SegmentWriter::create(fs::File::create(&seg_path).unwrap(), &declared).unwrap();
+    for s in seg.sections() {
+        w.begin_section(s.kind(), s.name());
+        w.put_bytes(s.bytes());
+        w.end_section();
+        if s.kind() == "indexes" {
+            w.begin_section("feedback", s.name());
+            w.put_bytes(&OLD_FEEDBACK_PAYLOAD);
+            w.end_section();
+        }
+    }
+    w.finish().unwrap().sync_all().unwrap();
+
+    for (mmap, verify) in [(true, false), (false, false), (true, true)] {
+        let mut db = Database::open_with(&dir, OpenOptions { mmap, verify }).unwrap();
+        db.enable_profiling();
+        assert_eq!(db.is_mapped(), mmap);
+        assert_eq!(run_query(&mut db), first, "mmap={mmap} verify={verify}");
+        assert_eq!(
+            db.profile_report().counter("index.builds").unwrap_or(0),
+            0,
+            "mmap={mmap} verify={verify}: indexes adopted, not rebuilt"
+        );
     }
     fs::remove_dir_all(&dir).unwrap();
 }

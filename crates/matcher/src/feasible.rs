@@ -510,21 +510,6 @@ where
     (mates, access, stats, seen)
 }
 
-/// Static per-pattern-node candidate estimate from label frequencies:
-/// `freq(label(u))` for labeled nodes, the full node count otherwise.
-/// This is what the cost model *predicts* retrieval will keep; the
-/// planner records the observed sizes against it as label feedback.
-pub fn estimated_mates(pattern: &Pattern, stats: &gql_core::GraphStats) -> Vec<u64> {
-    pattern
-        .graph
-        .node_ids()
-        .map(|u| match pattern.graph.node_label(u) {
-            Some(l) => stats.node_label_freq(l),
-            None => stats.node_count(),
-        })
-        .collect()
-}
-
 /// Natural log of the search-space size `|Φ(u1)| × .. × |Φ(uk)|`
 /// (Definition 4.9), in log-space because Figures 4.20/4.22 report
 /// ratios down to 1e-40. Empty feasible sets yield `f64::NEG_INFINITY`.

@@ -56,9 +56,8 @@ pub mod snapshot;
 
 pub use expr::{BinOp, EvalCtx, EvalResult, Expr};
 pub use feasible::{
-    estimated_access, estimated_mates, feasible_mates, feasible_mates_access_par,
-    feasible_mates_stats_par, reduction_ratio, search_space_ln, AccessPath, LocalPruning,
-    RetrieveAccess, RetrieveStats,
+    estimated_access, feasible_mates, feasible_mates_access_par, feasible_mates_stats_par,
+    reduction_ratio, search_space_ln, AccessPath, LocalPruning, RetrieveAccess, RetrieveStats,
 };
 pub use index::{GraphIndex, IndexOptions, IndexParts};
 pub use matcher::{

@@ -3,8 +3,8 @@
 //! with per-step instrumentation for the §5 experiments.
 
 use crate::feasible::{
-    estimated_access, estimated_mates, feasible_mates_access_par, retrieve_nodes, search_space_ln,
-    AccessPath, LocalPruning, NodeMates,
+    estimated_access, feasible_mates_access_par, retrieve_nodes, search_space_ln, AccessPath,
+    LocalPruning, NodeMates,
 };
 use crate::index::GraphIndex;
 use crate::order::{estimate_join_sizes, optimize_order, GammaMode, SearchOrder};
@@ -356,8 +356,7 @@ pub fn match_pattern(
         (Some(pl), Some(k)) => pl.shape_feedback(k.shape, k.graph_scope),
         _ => None,
     };
-    let pre_sizes: Option<Vec<u32>> =
-        planner.map(|_| mates.iter().map(|m| m.len() as u32).collect());
+    let candidate_space: Option<u64> = planner.map(|_| mates.iter().map(|m| m.len() as u64).sum());
     let want_plan_info = planner.is_some() || tel.is_some_and(Telemetry::explains);
 
     // Phase 2: joint reduction (§4.3). The refinement decision is
@@ -580,39 +579,16 @@ pub fn match_pattern(
 
     // Planner epilogue: record this run's observations and (re)install
     // the compiled plan for the next call of the same motif.
-    if let (Some(pl), Some(k), Some(pre)) = (planner, key, pre_sizes.as_ref()) {
-        let est = estimated_mates(pattern, index.stats());
-        for u in 0..pattern.node_count() {
-            if let Some(id) = pattern
-                .graph
-                .node_label(NodeId(u as u32))
-                .and_then(|l| index.interner().lookup(l))
-            {
-                pl.record_label(k.graph_scope, id, est[u], u64::from(pre[u]));
-            }
-        }
+    if let (Some(pl), Some(k), Some(candidate_space)) = (planner, key, candidate_space) {
         pl.record_shape(
             k.shape,
             k.graph_scope,
             ShapeFeedback {
                 runs: 0,
-                candidate_space: pre.iter().map(|&n| u64::from(n)).sum(),
+                candidate_space,
                 refine_removed: report.refine_stats.removed,
-                refine_checks: report.refine_stats.bipartite_checks,
-                refined_sizes: refined_sizes.clone(),
-                search_steps: report.search_steps,
                 matches: report.mappings.len() as u64,
                 estimated_size: est_join_sizes.last().copied().unwrap_or(0.0),
-                probe_bucket: access
-                    .iter()
-                    .filter(|a| a.path != AccessPath::BucketScan)
-                    .map(|a| a.bucket)
-                    .sum(),
-                probe_hits: access
-                    .iter()
-                    .filter(|a| a.path != AccessPath::BucketScan)
-                    .map(|a| a.probed)
-                    .sum(),
             },
         );
         if cached.is_none() || replanned {

@@ -15,12 +15,13 @@
 //!   graph scope (σ matches a collection's graphs concurrently) and the
 //!   cache generation (bumped on mutation, mirroring the engine index
 //!   cache).
-//! - **Feedback** ([`gql_core::FeedbackStore`]): each run records its
-//!   observed candidate sizes, pruning yield, and cardinality; later
-//!   plannings consult these before falling back to the static
-//!   [`gql_core::GraphStats`] probabilities — today to decide whether
+//! - **Feedback** ([`gql_core::ShapeFeedback`]): each run records its
+//!   candidate space, pruning yield, and cardinality per (shape, graph
+//!   scope); later plannings consult the slot to decide whether
 //!   refinement pays ([`decide_refine_level`]) and to correct the
-//!   expected-cardinality annotations in EXPLAIN.
+//!   expected-cardinality annotations in EXPLAIN. Feedback lives in
+//!   memory only, beside the plan cache: a reopened database starts
+//!   from none.
 //!
 //! **Determinism contract.** A cached plan is *validated, then reused*:
 //! on a hit the matcher compares the stored post-refinement candidate
@@ -36,8 +37,9 @@
 use crate::matcher::{MatchOptions, RefineLevel};
 use crate::pattern::Pattern;
 use crate::search::EdgeChecks;
-use gql_core::plan::{FeedbackStore, PlanCache, PlanKey, ShapeDesc, ShapeFeedback};
+use gql_core::plan::{PlanCache, PlanKey, ShapeDesc, ShapeFeedback};
 use gql_core::{shape_key, Value};
+use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
@@ -73,11 +75,12 @@ pub struct CompiledPlan {
 #[derive(Debug, Default)]
 struct PlannerState {
     cache: PlanCache<Arc<CompiledPlan>>,
-    feedback: FeedbackStore,
+    /// Last run's feedback per `(shape, graph scope)`.
+    shapes: FxHashMap<(u64, u64), ShapeFeedback>,
 }
 
 /// Shared planning state for one graph collection: the compiled-plan
-/// cache plus the execution-feedback store, both invalidated together
+/// cache plus the per-shape feedback slots, both invalidated together
 /// when the underlying graphs mutate. Cheap to share across threads
 /// (σ's per-graph workers hit disjoint key scopes).
 #[derive(Debug, Default)]
@@ -101,7 +104,7 @@ impl Planner {
     pub fn invalidate(&self) {
         let mut s = self.inner.lock().unwrap();
         s.cache.invalidate();
-        s.feedback.clear();
+        s.shapes.clear();
     }
 
     /// Raises the plan-cache generation to `generation` (no-op when
@@ -128,53 +131,18 @@ impl Planner {
         self.inner
             .lock()
             .unwrap()
-            .feedback
-            .shape(shape, scope)
-            .cloned()
+            .shapes
+            .get(&(shape, scope))
+            .copied()
     }
 
-    /// Records one run's shape feedback.
-    pub fn record_shape(&self, shape: u64, scope: u64, fb: ShapeFeedback) {
-        self.inner
-            .lock()
-            .unwrap()
-            .feedback
-            .record_shape(shape, scope, fb);
-    }
-
-    /// Records one estimated-vs-observed label candidate count.
-    pub fn record_label(&self, scope: u64, label: u32, estimated: u64, observed: u64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .feedback
-            .record_label(scope, label, estimated, observed);
-    }
-
-    /// Observed/estimated correction factor for a label, if recorded.
-    pub fn label_correction(&self, scope: u64, label: u32) -> Option<f64> {
-        self.inner
-            .lock()
-            .unwrap()
-            .feedback
-            .label(scope, label)
-            .and_then(|l| l.correction())
-    }
-
-    /// Snapshot of the feedback store, for checkpointing. Compiled
-    /// plans are *not* exported: they hold index-relative artifacts and
-    /// are cheap to recompile, while the statistics are the part worth
-    /// keeping across processes.
-    pub fn export_feedback(&self) -> FeedbackStore {
-        self.inner.lock().unwrap().feedback.clone()
-    }
-
-    /// Replaces the feedback store with a checkpointed snapshot — the
-    /// reopen path. Feedback only drives result-preserving decisions
-    /// (refinement skipping, estimate corrections), so importing stale
-    /// statistics can cost effort but never change answers.
-    pub fn import_feedback(&self, feedback: FeedbackStore) {
-        self.inner.lock().unwrap().feedback = feedback;
+    /// Records one run's shape feedback: the last-run fields replace the
+    /// slot's, `runs` counts the runs recorded so far.
+    pub fn record_shape(&self, shape: u64, scope: u64, mut fb: ShapeFeedback) {
+        let mut s = self.inner.lock().unwrap();
+        let slot = s.shapes.entry((shape, scope)).or_default();
+        fb.runs = slot.runs + 1;
+        *slot = fb;
     }
 
     /// `(hits, misses)` of the plan cache so far.
@@ -642,6 +610,12 @@ mod tests {
         assert_eq!(pl.cached_plans(), 1);
         assert_eq!(pl.lookup(&key).unwrap().order, vec![0, 2, 1]);
         pl.record_shape(key.shape, 0, ShapeFeedback::default());
+        pl.record_shape(key.shape, 0, ShapeFeedback::default());
+        assert_eq!(pl.shape_feedback(key.shape, 0).unwrap().runs, 2);
+        assert!(
+            pl.shape_feedback(key.shape, 1).is_none(),
+            "scopes are disjoint"
+        );
         pl.invalidate();
         assert!(pl.lookup(&key).is_none(), "generation bump evicts");
         assert!(pl.shape_feedback(key.shape, 0).is_none());

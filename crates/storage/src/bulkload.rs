@@ -193,7 +193,6 @@ impl BulkLoader {
             name: name.to_string(),
             payload,
             indexes: vec![index],
-            feedback: None,
         })
     }
 

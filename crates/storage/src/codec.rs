@@ -1,6 +1,6 @@
 //! Section payload codecs for the checkpoint segments: raw index
-//! arrays ([`IndexParts`]), planner feedback ([`FeedbackStore`]), and
-//! the index-options fingerprint a segment was built under. All built
+//! arrays ([`IndexParts`]) and the index-options fingerprint a segment
+//! was built under. All built
 //! on the shared `gql_core::storage` primitives (LEB128 varints, tagged
 //! values), so the whole GQL1 file family speaks one wire format.
 //!
@@ -14,21 +14,14 @@
 //! When adoption is impossible — big-endian target, or a byte buffer
 //! whose base address happens to be misaligned — the same layout
 //! decodes element-wise into owned slabs with identical results.
-//! Value-carrying payloads (interner tables, feedback, options) keep
-//! the compact varint/tagged encoding: they are small, and they decode
-//! into heap structures anyway.
-//!
-//! Map-shaped state (the feedback store) is serialized in sorted key
-//! order, making segment bytes a pure function of logical state rather
-//! than of hash-map iteration order.
+//! Value-carrying payloads (interner tables, options) keep the compact
+//! varint/tagged encoding: they are small, and they decode into heap
+//! structures anyway.
 
 use crate::segment::SectionSink;
 use crate::Result;
 use gql_core::storage::{get_value, get_varint, put_value, put_varint, ByteSink, StorageError};
-use gql_core::{
-    pod_bytes, AdjacencyParts, ByteBuffer, CsrEntry, CsrParts, FeedbackStore, LabelFeedback,
-    ShapeFeedback, Slab, Value,
-};
+use gql_core::{pod_bytes, AdjacencyParts, ByteBuffer, CsrEntry, CsrParts, Slab, Value};
 use gql_match::IndexParts;
 use std::sync::Arc;
 
@@ -66,21 +59,6 @@ fn get_bool(buf: &[u8], pos: &mut usize) -> Result<bool> {
     }
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
-    let end = pos.checked_add(8).ok_or(StorageError::Truncated)?;
-    if end > buf.len() {
-        return Err(StorageError::Truncated.into());
-    }
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[*pos..end]);
-    *pos = end;
-    Ok(f64::from_le_bytes(b))
-}
-
 /// Reads a count that is about to size an allocation; anything larger
 /// than the remaining input is malformed by construction (every counted
 /// element occupies at least one byte).
@@ -90,26 +68,6 @@ fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
         return Err(StorageError::Malformed("implausible count").into());
     }
     Ok(n)
-}
-
-fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
-    put_varint(out, vs.len() as u64);
-    for &v in vs {
-        put_varint(out, u64::from(v));
-    }
-}
-
-fn get_u32s(buf: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
-    let n = get_count(buf, pos)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = get_varint(buf, pos)?;
-        if v > u64::from(u32::MAX) {
-            return Err(StorageError::Malformed("u32 overflow").into());
-        }
-        out.push(v as u32);
-    }
-    Ok(out)
 }
 
 // ---- raw little-endian array runs ------------------------------------
@@ -404,84 +362,6 @@ pub fn decode_index_parts_from(
     })
 }
 
-// ---- planner feedback -------------------------------------------------
-
-/// Encodes a [`FeedbackStore`] in sorted key order (deterministic
-/// bytes regardless of hash-map iteration order).
-pub fn encode_feedback(fb: &FeedbackStore) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut shapes: Vec<(&(u64, u64), &ShapeFeedback)> = fb.shapes().collect();
-    shapes.sort_by_key(|(k, _)| **k);
-    put_varint(&mut out, shapes.len() as u64);
-    for (&(shape, scope), s) in shapes {
-        put_varint(&mut out, shape);
-        put_varint(&mut out, scope);
-        put_varint(&mut out, s.runs);
-        put_varint(&mut out, s.candidate_space);
-        put_varint(&mut out, s.refine_removed);
-        put_varint(&mut out, s.refine_checks);
-        put_u32s(&mut out, &s.refined_sizes);
-        put_varint(&mut out, s.search_steps);
-        put_varint(&mut out, s.matches);
-        put_f64(&mut out, s.estimated_size);
-        put_varint(&mut out, s.probe_bucket);
-        put_varint(&mut out, s.probe_hits);
-    }
-    let mut labels: Vec<(&(u64, u32), &LabelFeedback)> = fb.labels().collect();
-    labels.sort_by_key(|(k, _)| **k);
-    put_varint(&mut out, labels.len() as u64);
-    for (&(scope, label), l) in labels {
-        put_varint(&mut out, scope);
-        put_varint(&mut out, u64::from(label));
-        put_varint(&mut out, l.runs);
-        put_varint(&mut out, l.estimated);
-        put_varint(&mut out, l.observed);
-    }
-    out
-}
-
-/// Decodes a payload written by [`encode_feedback`].
-pub fn decode_feedback(buf: &[u8]) -> Result<FeedbackStore> {
-    let mut pos = 0;
-    let mut fb = FeedbackStore::new();
-    let n_shapes = get_count(buf, &mut pos)?;
-    for _ in 0..n_shapes {
-        let shape = get_varint(buf, &mut pos)?;
-        let scope = get_varint(buf, &mut pos)?;
-        let s = ShapeFeedback {
-            runs: get_varint(buf, &mut pos)?,
-            candidate_space: get_varint(buf, &mut pos)?,
-            refine_removed: get_varint(buf, &mut pos)?,
-            refine_checks: get_varint(buf, &mut pos)?,
-            refined_sizes: get_u32s(buf, &mut pos)?,
-            search_steps: get_varint(buf, &mut pos)?,
-            matches: get_varint(buf, &mut pos)?,
-            estimated_size: get_f64(buf, &mut pos)?,
-            probe_bucket: get_varint(buf, &mut pos)?,
-            probe_hits: get_varint(buf, &mut pos)?,
-        };
-        fb.restore_shape(shape, scope, s);
-    }
-    let n_labels = get_count(buf, &mut pos)?;
-    for _ in 0..n_labels {
-        let scope = get_varint(buf, &mut pos)?;
-        let label = get_varint(buf, &mut pos)?;
-        if label > u64::from(u32::MAX) {
-            return Err(StorageError::Malformed("label id overflow").into());
-        }
-        let l = LabelFeedback {
-            runs: get_varint(buf, &mut pos)?,
-            estimated: get_varint(buf, &mut pos)?,
-            observed: get_varint(buf, &mut pos)?,
-        };
-        fb.restore_label(scope, label as u32, l);
-    }
-    if pos != buf.len() {
-        return Err(StorageError::Malformed("feedback trailing bytes").into());
-    }
-    Ok(fb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,51 +444,6 @@ mod tests {
         let n = buf.bytes().len();
         assert_eq!(decode_index_parts_from(&buf, 0, n).unwrap(), parts);
         assert!(decode_index_parts_from(&buf, 8, n).is_err());
-    }
-
-    #[test]
-    fn feedback_round_trip_is_deterministic() {
-        let mut fb = FeedbackStore::new();
-        fb.restore_shape(
-            7,
-            99,
-            ShapeFeedback {
-                runs: 3,
-                candidate_space: 120,
-                refine_removed: 40,
-                refine_checks: 500,
-                refined_sizes: vec![10, 20, 3],
-                search_steps: 777,
-                matches: 12,
-                estimated_size: 14.5,
-                probe_bucket: 60,
-                probe_hits: 9,
-            },
-        );
-        fb.restore_shape(1, 2, ShapeFeedback::default());
-        fb.restore_label(
-            99,
-            4,
-            LabelFeedback {
-                runs: 2,
-                estimated: 30,
-                observed: 12,
-            },
-        );
-        let bytes = encode_feedback(&fb);
-        // Same logical content encodes to the same bytes (sorted keys).
-        assert_eq!(bytes, encode_feedback(&fb.clone()));
-        let back = decode_feedback(&bytes).unwrap();
-        let mut got: Vec<_> = back.shapes().collect();
-        got.sort_by_key(|(k, _)| **k);
-        let mut want: Vec<_> = fb.shapes().collect();
-        want.sort_by_key(|(k, _)| **k);
-        assert_eq!(got, want);
-        assert_eq!(
-            back.labels().collect::<Vec<_>>(),
-            fb.labels().collect::<Vec<_>>()
-        );
-        assert!(decode_feedback(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

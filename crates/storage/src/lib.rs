@@ -14,8 +14,7 @@
 //!   uncommitted suffix, never committed state.
 //! - [`segment`]: page-aligned checkpoint segments with a checksummed
 //!   section directory. Each section (collection payload, raw index
-//!   arrays, planner feedback, top-level variables) carries its own
-//!   CRC; payloads start on 4096-byte boundaries so the memory-mapped
+//!   arrays, top-level variables) carries its own CRC; payloads start on 4096-byte boundaries so the memory-mapped
 //!   reader ([`mmap::SegmentMap`]) hands out aligned slices the core's
 //!   `Slab<T>` adopts zero-copy. Writing streams through
 //!   [`segment::SegmentWriter`]'s fixed-size buffer with an
@@ -52,8 +51,8 @@ pub mod wal;
 
 pub use bulkload::BulkLoader;
 pub use codec::{
-    decode_feedback, decode_index_parts, decode_index_parts_from, decode_options, encode_feedback,
-    encode_index_parts, encode_index_parts_into, encode_options, StoredOptions,
+    decode_index_parts, decode_index_parts_from, decode_options, encode_index_parts,
+    encode_index_parts_into, encode_options, StoredOptions,
 };
 pub use mmap::SegmentMap;
 pub use segment::{Section, Segment, SegmentBuilder, SegmentWriter, PAGE_SIZE};

@@ -31,7 +31,7 @@
 //! Opening defaults to *mapping* the published segment
 //! ([`crate::mmap::SegmentMap`]) rather than reading it: the header and
 //! directory are verified eagerly, decoded sections (collections,
-//! vars, feedback, options) are CRC-checked at access, and the raw
+//! vars, options) are CRC-checked at access, and the raw
 //! index arrays are adopted zero-copy with *structural* validation in
 //! place of a checksum — `GraphIndex::from_parts` re-verifies every
 //! CSR entry against the decoded graphs, so corruption is still loud,
@@ -42,15 +42,15 @@
 //! on unix: the pages outlive the unlink.
 
 use crate::codec::{
-    decode_feedback, decode_index_parts, decode_index_parts_from, decode_options, encode_feedback,
-    encode_index_parts_into, encode_options, StoredOptions,
+    decode_index_parts, decode_index_parts_from, decode_options, encode_index_parts_into,
+    encode_options, StoredOptions,
 };
 use crate::mmap::SegmentMap;
 use crate::segment::{Section, Segment, SegmentWriter};
 use crate::wal::{Wal, WalRecord};
 use crate::{Result, StoreError};
 use gql_core::storage::{decode_collection, decode_graph, fnv1a, ByteSink};
-use gql_core::{ByteBuffer, FeedbackStore, Graph, Obs};
+use gql_core::{ByteBuffer, Graph, Obs};
 use gql_match::IndexParts;
 use std::fs;
 use std::io::{self, ErrorKind, Write};
@@ -63,7 +63,6 @@ const WAL_FILE: &str = "wal.log";
 
 const KIND_COLLECTION: &str = "collection";
 const KIND_INDEXES: &str = "indexes";
-const KIND_FEEDBACK: &str = "feedback";
 const KIND_VAR: &str = "var";
 const KIND_META: &str = "meta";
 const META_OPTIONS: &str = "options";
@@ -111,8 +110,6 @@ pub struct CollectionSnapshot {
     /// Per-graph raw index arrays (empty = not persisted; the reopen
     /// rebuilds from scratch).
     pub indexes: Vec<IndexParts>,
-    /// Planner feedback recorded against this collection.
-    pub feedback: Option<FeedbackStore>,
 }
 
 /// State recovered by [`Store::open`]: the published checkpoint with
@@ -142,8 +139,6 @@ pub struct RestoredCollection {
     /// (re)written through the WAL after the checkpoint, or the
     /// checkpoint carried none.
     pub indexes: Option<Vec<IndexParts>>,
-    /// Checkpointed planner feedback; `None` under the same conditions.
-    pub feedback: Option<FeedbackStore>,
 }
 
 /// Handle on an open database directory.
@@ -268,9 +263,6 @@ impl Store {
             if !c.indexes.is_empty() {
                 declared.push((KIND_INDEXES, &c.name));
             }
-            if c.feedback.is_some() {
-                declared.push((KIND_FEEDBACK, &c.name));
-            }
         }
         for (name, _) in &snap.vars {
             declared.push((KIND_VAR, name));
@@ -292,11 +284,6 @@ impl Store {
             if !c.indexes.is_empty() {
                 w.begin_section(KIND_INDEXES, &c.name);
                 encode_index_parts_into(&mut w, &c.indexes);
-                w.end_section();
-            }
-            if let Some(fb) = &c.feedback {
-                w.begin_section(KIND_FEEDBACK, &c.name);
-                w.put_bytes(&encode_feedback(fb));
                 w.end_section();
             }
         }
@@ -432,7 +419,6 @@ fn restore_segment(seg: &Segment, check_crc: bool, mapped: bool, obs: &Obs) -> R
                 name: sec.name().to_string(),
                 graphs: decode_collection(checked_bytes(&sec, check_crc, obs)?)?,
                 indexes: None,
-                feedback: None,
             }),
             KIND_VAR => restored.vars.push((
                 sec.name().to_string(),
@@ -441,10 +427,12 @@ fn restore_segment(seg: &Segment, check_crc: bool, mapped: bool, obs: &Obs) -> R
             _ => {}
         }
     }
-    // Attach derived sections to their collections by name; a derived
+    // Attach index sections to their collections by name; an index
     // section without a matching collection is a malformed segment.
+    // Other kinds are skipped: segments written before planner feedback
+    // stopped being persisted carry a `feedback` section per collection.
     for sec in seg.sections() {
-        if sec.kind() != KIND_INDEXES && sec.kind() != KIND_FEEDBACK {
+        if sec.kind() != KIND_INDEXES {
             continue;
         }
         let target = restored
@@ -452,15 +440,11 @@ fn restore_segment(seg: &Segment, check_crc: bool, mapped: bool, obs: &Obs) -> R
             .iter_mut()
             .find(|c| c.name == sec.name())
             .ok_or(StoreError::Invalid("derived section without collection"))?;
-        if sec.kind() == KIND_INDEXES {
-            target.indexes = Some(if mapped {
-                decode_index_parts_from(seg.buffer(), sec.base(), sec.bytes().len())?
-            } else {
-                decode_index_parts(sec.bytes())?
-            });
+        target.indexes = Some(if mapped {
+            decode_index_parts_from(seg.buffer(), sec.base(), sec.bytes().len())?
         } else {
-            target.feedback = Some(decode_feedback(checked_bytes(&sec, check_crc, obs)?)?);
-        }
+            decode_index_parts(sec.bytes())?
+        });
     }
     Ok(restored)
 }
@@ -476,13 +460,11 @@ fn apply_record(restored: &mut Restored, rec: WalRecord) -> Result<()> {
                 Some(c) => {
                     c.graphs = graphs;
                     c.indexes = None;
-                    c.feedback = None;
                 }
                 None => restored.collections.push(RestoredCollection {
                     name,
                     graphs,
                     indexes: None,
-                    feedback: None,
                 }),
             }
         }
@@ -527,7 +509,6 @@ mod tests {
                 name: "db".into(),
                 payload: encode_collection([&g]),
                 indexes: vec![idx.to_parts()],
-                feedback: Some(FeedbackStore::new()),
             }],
             vars: vec![("Q".into(), encode_graph(&g))],
         }
@@ -557,7 +538,6 @@ mod tests {
         assert_eq!(c.graphs.len(), 1);
         assert_eq!(c.graphs[0].node_count(), 6);
         assert!(c.indexes.is_some());
-        assert!(c.feedback.is_some());
         assert!(restored.mapped, "default open maps the segment");
         assert_eq!(restored.vars.len(), 1);
         assert_eq!(restored.vars[0].0, "Q");
@@ -700,7 +680,6 @@ mod tests {
         let c = &restored.collections[0];
         assert_eq!(c.graphs.len(), 2, "rewritten contents win");
         assert!(c.indexes.is_none(), "rewrite drops stale indexes");
-        assert!(c.feedback.is_none());
         assert_eq!(restored.vars.len(), 1);
         assert_eq!(
             restored.vars[0].1.attrs.get("v"),

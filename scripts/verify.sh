@@ -74,16 +74,27 @@ echo "==> persistence smoke (checkpoint, then reopen without data files)"
 persist_tmp=$(mktemp -d)
 first=$(cargo run --release -q -p gql-cli -- run examples/gql/coauthors.gql \
     --data DBLP=examples/gql/dblp_sample.gql \
-    --data-dir "$persist_tmp/db" --checkpoint 2> "$persist_tmp/diag1.txt")
+    --data-dir "$persist_tmp/db" --checkpoint --metrics "$persist_tmp/m1.prom" \
+    2> "$persist_tmp/diag1.txt")
 grep -q "checkpoint written" "$persist_tmp/diag1.txt" \
     || { echo "checkpoint notice missing"; exit 1; }
 [ -f "$persist_tmp/db/MANIFEST" ] || { echo "MANIFEST not written"; exit 1; }
 second=$(cargo run --release -q -p gql-cli -- run examples/gql/coauthors.gql \
-    --data-dir "$persist_tmp/db" 2> "$persist_tmp/diag2.txt")
+    --data-dir "$persist_tmp/db" --metrics "$persist_tmp/m2.prom" \
+    2> "$persist_tmp/diag2.txt")
 grep -q "opened" "$persist_tmp/diag2.txt" || { echo "reopen notice missing"; exit 1; }
 [ "$first" = "$second" ] || { echo "checkpoint-reopen changed results"; exit 1; }
 grep -q "opened .* (mapped)" "$persist_tmp/diag2.txt" \
     || { echo "default reopen did not map the checkpoint"; exit 1; }
+# Planner feedback is not checkpointed, so the reopen starts from none
+# and must plan exactly as the first run did: same pipeline counters.
+plan_counters() {
+    grep -E '^gql_(search_steps|refine_removed|retrieve_kept)_total ' "$1"
+}
+[ "$(plan_counters "$persist_tmp/m1.prom" | wc -l)" -eq 3 ] \
+    || { echo "pipeline counters missing from --metrics"; exit 1; }
+[ "$(plan_counters "$persist_tmp/m1.prom")" = "$(plan_counters "$persist_tmp/m2.prom")" ] \
+    || { echo "reopen planned differently from the first run"; exit 1; }
 third=$(cargo run --release -q -p gql-cli -- run examples/gql/coauthors.gql \
     --data-dir "$persist_tmp/db" --verify-checkpoint 2> /dev/null)
 [ "$first" = "$third" ] || { echo "--verify-checkpoint changed results"; exit 1; }
