@@ -3,9 +3,9 @@
 //!
 //! Handles the structural sublanguage of §2: node/edge declarations,
 //! nested motif references (`graph G1 as X;`, concatenation by edges),
-//! and `unify` members (concatenation by unification). Recursive
-//! references are rejected here — `gql-motif` derives bounded unrollings
-//! for those.
+//! and `unify` members (concatenation by unification). Recursive motifs
+//! (Definition 4.2: `export` and self-referencing patterns) are rejected
+//! here; they are not evaluated.
 
 use crate::error::{AlgebraError, Result};
 use gql_core::{unify_nodes_full, Graph, NodeId, Tuple};
@@ -192,8 +192,8 @@ fn compile_inner(
             }
             MemberDecl::Export { .. } => {
                 return Err(AlgebraError::Eval {
-                    message: "`export` is part of the recursive motif language; \
-                              use gql-motif derivation"
+                    message: "`export` belongs to the recursive motif language; \
+                              recursive motifs (Definition 4.2) are not evaluated"
                         .into(),
                 });
             }

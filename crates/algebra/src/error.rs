@@ -1,4 +1,5 @@
-//! Errors raised while compiling or evaluating algebra expressions.
+//! Errors raised while compiling patterns and evaluating the algebra's
+//! operators.
 
 use std::fmt;
 
@@ -17,13 +18,8 @@ pub enum AlgebraError {
         /// The pattern name.
         name: String,
     },
-    /// A referenced collection is missing from the database.
-    UnknownCollection {
-        /// The collection name.
-        name: String,
-    },
-    /// Recursive motif references are not supported by the nonrecursive
-    /// evaluator (use `gql-motif` for bounded derivation).
+    /// A pattern references itself, directly or through a nested motif.
+    /// Recursive motifs (Definition 4.2) are not evaluated.
     RecursivePattern {
         /// The self-referential pattern name.
         name: String,
@@ -56,13 +52,10 @@ impl fmt::Display for AlgebraError {
                 write!(f, "unknown name {name:?} while resolving {context}")
             }
             AlgebraError::UnknownPattern { name } => write!(f, "unknown pattern {name:?}"),
-            AlgebraError::UnknownCollection { name } => {
-                write!(f, "unknown collection {name:?}")
-            }
             AlgebraError::RecursivePattern { name } => write!(
                 f,
-                "pattern {name:?} is recursive; the selection evaluator handles nonrecursive \
-                 patterns only (derive bounded unrollings with gql-motif)"
+                "pattern {name:?} is recursive; recursive motifs (Definition 4.2) are not \
+                 evaluated"
             ),
             AlgebraError::BadEndpoint { name } => {
                 write!(f, "edge endpoint {name:?} does not name a node")

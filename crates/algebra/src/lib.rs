@@ -9,27 +9,23 @@
 //! - [`ops::cartesian_product`] / [`ops::join`] — × and ⋈;
 //! - [`ops::compose`] — ω, instantiating [`template`]s from matched
 //!   graphs (Definition 4.4);
-//! - [`ops::union`] / [`ops::difference`] / [`ops::intersection`];
-//! - [`AlgebraExpr`] — expression trees over the five primitive
-//!   operators, with rewrite laws in [`expr::laws`].
+//! - [`ops::union`] / [`ops::difference`] / [`ops::intersection`].
 //!
 //! [`compile`] lowers parsed pattern ASTs (`gql-parser`) into executable
 //! matcher patterns (`gql-match`), resolving nested motifs, `unify`
-//! members, and `where` predicates.
+//! members, and `where` predicates. Recursive motifs (Definition 4.2)
+//! are rejected there, not evaluated. Programs are evaluated by
+//! `gql_engine::Database`, which drives these operators.
 
 #![warn(missing_docs)]
 
 pub mod compile;
 pub mod error;
-pub mod expr;
 pub mod matched;
 pub mod ops;
-pub mod recursive;
 pub mod template;
 
 pub use compile::{compile_pattern, compile_pattern_text, CompiledPattern, PatternRegistry};
 pub use error::{AlgebraError, Result};
-pub use expr::{AlgebraCtx, AlgebraExpr};
 pub use matched::MatchedGraph;
-pub use recursive::{match_recursive, matches_recursive, DerivedMatches};
 pub use template::{instantiate, TemplateEnv};

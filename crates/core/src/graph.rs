@@ -247,11 +247,6 @@ impl Graph {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Iterates over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.edges.len() as u32).map(EdgeId)
-    }
-
     /// Iterates over `(id, node)`.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
         self.nodes
@@ -334,14 +329,6 @@ impl Graph {
             .map(|i| NodeId(i as u32))
     }
 
-    /// Looks up an edge by its source-text variable name.
-    pub fn edge_by_name(&self, name: &str) -> Option<EdgeId> {
-        self.edges
-            .iter()
-            .position(|e| e.name.as_deref() == Some(name))
-            .map(|i| EdgeId(i as u32))
-    }
-
     /// True if the graph is connected (ignoring direction). The empty
     /// graph counts as connected.
     pub fn is_connected(&self) -> bool {
@@ -392,19 +379,6 @@ impl Graph {
             self.edges[id.index()].name = e.name.clone();
         }
         offset
-    }
-
-    /// Sorted list of distinct node labels with their frequencies.
-    pub fn label_histogram(&self) -> Vec<(Value, usize)> {
-        let mut freq: FxHashMap<&Value, usize> = FxHashMap::default();
-        for (_, n) in self.nodes() {
-            if let Some(l) = n.attrs.get("label") {
-                *freq.entry(l).or_insert(0) += 1;
-            }
-        }
-        let mut out: Vec<(Value, usize)> = freq.into_iter().map(|(k, v)| (k.clone(), v)).collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
     }
 }
 
@@ -539,20 +513,8 @@ mod tests {
         g.add_named_edge("e1", v, w, Tuple::new()).unwrap();
         assert_eq!(g.node_by_name("v1"), Some(v));
         assert_eq!(g.node_by_name("vX"), None);
-        assert_eq!(g.edge_by_name("e1"), Some(EdgeId(0)));
+        assert_eq!(g.edge(EdgeId(0)).name.as_deref(), Some("e1"));
         assert_eq!(g.node_label(v), Some(&Value::Str("A".into())));
-    }
-
-    #[test]
-    fn label_histogram_sorted_by_frequency() {
-        let mut g = Graph::new();
-        for _ in 0..3 {
-            g.add_labeled_node("X");
-        }
-        g.add_labeled_node("Y");
-        let h = g.label_histogram();
-        assert_eq!(h[0], (Value::Str("X".into()), 3));
-        assert_eq!(h[1], (Value::Str("Y".into()), 1));
     }
 
     #[test]

@@ -191,8 +191,6 @@ impl Run {
 pub struct PropIndex {
     node_runs: FxHashMap<u32, FxHashMap<String, Run>>,
     edge_runs: FxHashMap<u32, FxHashMap<String, Run>>,
-    node_entries: u64,
-    edge_entries: u64,
 }
 
 impl PropIndex {
@@ -232,29 +230,19 @@ impl PropIndex {
             }
         }
         let freeze = |acc: FxHashMap<u32, FxHashMap<String, Vec<(Value, u32)>>>| {
-            let mut total = 0u64;
-            let runs = acc
-                .into_iter()
+            acc.into_iter()
                 .map(|(lid, attrs)| {
-                    let frozen: FxHashMap<String, Run> = attrs
+                    let frozen = attrs
                         .into_iter()
-                        .map(|(name, entries)| {
-                            total += entries.len() as u64;
-                            (name, Run::build(entries))
-                        })
+                        .map(|(name, entries)| (name, Run::build(entries)))
                         .collect();
                     (lid, frozen)
                 })
-                .collect();
-            (runs, total)
+                .collect()
         };
-        let (node_runs, node_entries) = freeze(node_acc);
-        let (edge_runs, edge_entries) = freeze(edge_acc);
         PropIndex {
-            node_runs,
-            edge_runs,
-            node_entries,
-            edge_entries,
+            node_runs: freeze(node_acc),
+            edge_runs: freeze(edge_acc),
         }
     }
 
@@ -292,16 +280,6 @@ impl PropIndex {
         key: &Value,
     ) -> Option<Vec<u32>> {
         Some(self.edge_run(label, attr)?.probe(op, key))
-    }
-
-    /// Total `(value, id)` entries across node runs.
-    pub fn node_entry_count(&self) -> u64 {
-        self.node_entries
-    }
-
-    /// Total `(value, id)` entries across edge runs.
-    pub fn edge_entry_count(&self) -> u64 {
-        self.edge_entries
     }
 
     /// Iterates `(label id, attr, run)` over node runs, for statistics.
@@ -500,6 +478,5 @@ mod tests {
             pi.probe_edges(lid, "w", ProbeOp::Le, &Value::Int(7)),
             Some(vec![0, 1])
         );
-        assert_eq!(pi.edge_entry_count(), 4); // label + w for two edges
     }
 }

@@ -182,14 +182,6 @@ impl GraphStats {
     pub fn prop_run(&self, label: u32, attr: &str) -> Option<(u64, u64)> {
         self.prop_runs.get(&label)?.get(attr).copied()
     }
-
-    /// Equality-probe selectivity estimate: expected candidates for
-    /// `attr == key` on nodes labeled `label`, assuming a uniform value
-    /// distribution (`entries / distinct`). `None` without a run.
-    pub fn eq_probe_estimate(&self, label: u32, attr: &str) -> Option<f64> {
-        let (len, distinct) = self.prop_run(label, attr)?;
-        Some(len as f64 / (distinct.max(1)) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -296,8 +288,7 @@ mod tests {
         assert_eq!(s.prop_run(0, "year"), None);
         s.record_prop_run(0, "year", 10, 4);
         assert_eq!(s.prop_run(0, "year"), Some((10, 4)));
-        assert!((s.eq_probe_estimate(0, "year").unwrap() - 2.5).abs() < 1e-12);
-        assert_eq!(s.eq_probe_estimate(0, "absent"), None);
+        assert_eq!(s.prop_run(0, "absent"), None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Program-level engine tests beyond the unit suite.
 
+use gql_algebra::AlgebraError;
 use gql_core::fixtures::{figure_4_13_dblp, figure_4_16_graph};
 use gql_core::{GraphCollection, Value};
 use gql_engine::{Database, EngineError};
@@ -125,4 +126,47 @@ fn engine_error_display_is_informative() {
     let e2 = db.execute("graph P { node v;").unwrap_err();
     assert!(matches!(e2, EngineError::Parse(_)));
     assert!(e2.to_string().contains("syntax error"));
+}
+
+/// Recursive motifs (Definition 4.2), declared with `export` or by a
+/// self-reference, are rejected with an error that says they are not
+/// evaluated; the database keeps answering afterwards.
+#[test]
+fn recursive_motifs_are_rejected_not_evaluated() {
+    let mut db = Database::new();
+    db.add_collection("DBLP", figure_4_13_dblp().into());
+    let exported = db
+        .execute(
+            r#"graph P { node a; export a as x; };
+               for P in doc("DBLP") return graph { node n; };"#,
+        )
+        .unwrap_err();
+    assert!(
+        matches!(exported, EngineError::Algebra(AlgebraError::Eval { .. })),
+        "{exported:?}"
+    );
+    let self_ref = db
+        .execute(
+            r#"graph Path { graph Path; node v1; };
+               for Path in doc("DBLP") return graph { node n; };"#,
+        )
+        .unwrap_err();
+    assert!(
+        matches!(
+            self_ref,
+            EngineError::Algebra(AlgebraError::RecursivePattern { .. })
+        ),
+        "{self_ref:?}"
+    );
+    for e in [&exported, &self_ref] {
+        let msg = e.to_string();
+        assert!(
+            msg.contains("recursive motifs (Definition 4.2) are not evaluated"),
+            "{msg}"
+        );
+    }
+    let out = db
+        .execute(r#"for graph Q { node a <author>; } in doc("DBLP") return graph { node n; };"#)
+        .unwrap();
+    assert!(!out.returned[0].is_empty());
 }

@@ -217,17 +217,6 @@ impl Expr {
         }
     }
 
-    /// True iff the expression is decidable under `ctx` and truthy.
-    /// `Unbound` yields `true` (cannot reject yet); `Undefined` yields
-    /// `false` (can never hold).
-    pub fn holds_or_unbound(&self, ctx: &EvalCtx<'_>) -> bool {
-        match self.eval(ctx) {
-            EvalResult::Known(v) => v.is_truthy(),
-            EvalResult::Unbound => true,
-            EvalResult::Undefined => false,
-        }
-    }
-
     /// Strict check for fully-bound contexts: `Known(truthy)` only.
     pub fn holds(&self, ctx: &EvalCtx<'_>) -> bool {
         matches!(self.eval(ctx), EvalResult::Known(v) if v.is_truthy())
@@ -277,15 +266,17 @@ mod tests {
             edge_bind: &[],
         };
         // v0 unbound: cannot decide yet.
-        assert!(Expr::node_attr_eq(0, "name", "A").holds_or_unbound(&ctx));
-        assert!(!Expr::node_attr_eq(0, "name", "A").holds(&ctx));
+        let name_a = Expr::node_attr_eq(0, "name", "A");
+        assert_eq!(name_a.eval(&ctx), EvalResult::Unbound);
+        assert!(!name_a.holds(&ctx));
         // v1 bound but has no `year`: undefined, rejected.
         let p = Expr::binary(
             BinOp::Gt,
             Expr::node_attr(1, "year"),
             Expr::Literal(2000.into()),
         );
-        assert!(!p.holds_or_unbound(&ctx));
+        assert_eq!(p.eval(&ctx), EvalResult::Undefined);
+        assert!(!p.holds(&ctx));
     }
 
     #[test]
